@@ -8,7 +8,9 @@
 * :mod:`repro.schedule.emit` — keyless emitters producing the IR from the
   §3.1/§3.3 recursion for both backends;
 * :mod:`repro.schedule.compiled` — the layer-packed compiled batch kernel
-  (and the per-round plan), cached by schedule hash.
+  (and the per-round plan), cached by schedule hash;
+* :mod:`repro.schedule.walk` — the span-program walker both backends'
+  traced runs (and the machine backend's every run) go through.
 
 The lattice and machine backends interpret this artifact; the static checker
 lints it; :mod:`repro.staticcheck.extract` merely certifies that live runs
@@ -34,9 +36,10 @@ from .compiled import (
     set_profiler,
 )
 from .emit import (
-    EmittedMachineSchedule,
+    EmittedSchedule,
     SpanInstr,
     clear_emission_caches,
+    emit_lattice_program,
     emit_lattice_schedule,
     emit_machine_schedule,
     span_path_entry,
@@ -61,6 +64,7 @@ from .optimize import (
     optimize_schedule,
     repack_rounds,
 )
+from .walk import charge_phase, walk_program
 
 __all__ = [
     "ActivityTracker",
@@ -68,7 +72,7 @@ __all__ = [
     "ComparatorDAG",
     "ComparatorOp",
     "CompiledSchedule",
-    "EmittedMachineSchedule",
+    "EmittedSchedule",
     "OptimizationCertificate",
     "OptimizationResult",
     "PASS_NAMES",
@@ -81,6 +85,7 @@ __all__ = [
     "analyze_zero_one_activity",
     "apply_zero_one_round",
     "cache_stats",
+    "charge_phase",
     "clear_caches",
     "clear_optimizer_cache",
     "compile_schedule",
@@ -88,6 +93,7 @@ __all__ = [
     "exhaustive_zero_one_states",
     "optimize_schedule",
     "repack_rounds",
+    "emit_lattice_program",
     "emit_lattice_schedule",
     "emit_machine_schedule",
     "get_profiler",
@@ -97,6 +103,7 @@ __all__ = [
     "set_profiler",
     "snake_order_nodes",
     "span_path_entry",
+    "walk_program",
 ]
 
 

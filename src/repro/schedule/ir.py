@@ -157,6 +157,8 @@ class ComparatorDAG:
     rounds: tuple[ScheduleRound, ...]
     #: free-form extraction metadata (excluded from the canonical hash)
     meta: dict[str, Any] = field(default_factory=dict, compare=False)
+    #: memoised :meth:`schedule_hash`; every hashed field is an immutable tuple
+    _hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- summary ---------------------------------------------------------
     @property
@@ -220,9 +222,15 @@ class ComparatorDAG:
 
         Emitting the schedule and recording a live run of the same configured
         sort must produce the same hash regardless of the key values.
+        Computed on first call and memoised: kernel-cache lookups hash the
+        DAG on every hit.
         """
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        digest = self._hash
+        if digest is None:
+            blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode()).hexdigest()
+            object.__setattr__(self, "_hash", digest)
+        return digest
 
     def describe(self) -> str:
         return (
@@ -244,8 +252,10 @@ def phase_detail(phase: SchedulePhase, backend: str) -> str:
     if leaf == "initial-block-sorts":
         return "initial PG2 block sorts"
     if leaf == "merge-base":
-        # historical wording: the machine driver batched all merges of a level
-        return "merge base (k=2) PG2 sorts" if backend == "machine" else "merge base (k=2) PG2 sort"
+        # historical wording: the machine and adaptive drivers batched all
+        # merges of a level
+        plural = "" if backend == "lattice" else "s"
+        return f"merge base (k=2) PG2 sort{plural}"
     k = phase.dim
     if leaf == "block-sorts":
         return f"step4 block sorts (k={k})"

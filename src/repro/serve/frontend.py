@@ -7,7 +7,8 @@ both the service API and its telemetry:
 ``POST /sort``
     body ``{"cell": "path-n3-r3", "keys": [...]}`` → ``200`` with
     ``{"cell": ..., "keys": [...sorted, snake order...]}``; ``400`` on a
-    malformed body or wrong key width; ``503`` with a machine-readable
+    malformed body, a key that is not a JSON integer in the int64 range
+    (never coerced), or a wrong key width; ``503`` with a machine-readable
     ``reason`` when admission control sheds the request (backpressure is
     explicit, never a hang);
 ``GET /queues.json``
@@ -43,6 +44,16 @@ from .service import Rejected, SortService
 __all__ = ["build_sort_server"]
 
 _JSON = "application/json"
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_keys(raw: Any) -> np.ndarray:
+    """The request's keys as int64; floats, booleans and out-of-range
+    integers raise ``ValueError`` instead of being truncated or wrapped."""
+    for key in raw if isinstance(raw, list) else [raw]:
+        if type(key) is not int or not _INT64.min <= key <= _INT64.max:
+            raise ValueError(f"key {key!r} is not an integer in the int64 range")
+    return np.asarray(raw, dtype=np.int64)
 
 
 def _json_body(status: int, doc: dict[str, Any]) -> tuple[int, str, bytes]:
@@ -70,7 +81,7 @@ def build_sort_server(
         try:
             doc = json.loads(payload)
             cell = str(doc["cell"])
-            keys = np.asarray(doc["keys"], dtype=np.int64)
+            keys = _int64_keys(doc["keys"])
         except (ValueError, KeyError, TypeError) as exc:
             return _json_body(400, {"error": f"bad request: {exc}"})
         future = asyncio.run_coroutine_threadsafe(service.submit(cell, keys), loop)

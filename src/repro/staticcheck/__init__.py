@@ -13,7 +13,7 @@ A seeded mutant harness proves each lint has teeth.  The ``repro check``
 CLI drives everything over the canonical benchreg workload matrix.
 """
 
-from .dag import (
+from ..schedule import (
     BlockSortOp,
     ComparatorDAG,
     ComparatorOp,

@@ -1,4 +1,4 @@
-"""Static lints over a :class:`~repro.staticcheck.dag.ComparatorDAG`.
+"""Static lints over a :class:`~repro.schedule.ir.ComparatorDAG`.
 
 Every lint verifies the *schedule*, not a run of the sorter:
 
@@ -50,12 +50,12 @@ from ..analysis.complexity import (
 )
 from ..graphs.product import ProductGraph
 from ..orders.gray import gray_sequence, rank_lattice
+from ..schedule import ComparatorDAG, ScheduleRound, snake_order_nodes
 from ..schedule.activity import (
     ActivityTracker,
     apply_zero_one_round,
     exhaustive_zero_one_states,
 )
-from .dag import ComparatorDAG, ScheduleRound, snake_order_nodes
 
 __all__ = [
     "LintFinding",

@@ -1,7 +1,7 @@
 """Seeded fault injection: prove the lints have teeth.
 
 Each :class:`Mutant` applies one deliberate fault class to an extracted
-:class:`~repro.staticcheck.dag.ComparatorDAG` and declares which lint must
+:class:`~repro.schedule.ir.ComparatorDAG` and declares which lint must
 catch it:
 
 ``drop_cleanup_sort``
@@ -33,12 +33,12 @@ harness demonstrably needs all of its lints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from ..graphs.base import FactorGraph
 from ..graphs.product import ProductGraph
-from .dag import ComparatorDAG, ComparatorOp, SchedulePhase, ScheduleRound
+from ..schedule import ComparatorDAG, ComparatorOp, SchedulePhase, ScheduleRound
 from .extract import emit_schedule
 from .lints import LINT_NAMES, VerificationReport, verify_dag
 
@@ -76,37 +76,13 @@ def _rebuild(
 ) -> ComparatorDAG:
     """Reindex phases/rounds and stamp the mutant name into the metadata."""
     phase_map = {p.index: i for i, p in enumerate(phases)}
-    new_phases = tuple(
-        SchedulePhase(
-            index=i,
-            path=p.path,
-            kind=p.kind,
-            dim=p.dim,
-            charged_rounds=p.charged_rounds,
-        )
-        for i, p in enumerate(phases)
-    )
-    new_rounds = tuple(
-        ScheduleRound(
-            index=i,
-            phase=phase_map[rd.phase],
-            charge=rd.charge,
-            comparators=rd.comparators,
-            block_sorts=rd.block_sorts,
-        )
-        for i, rd in enumerate(rounds)
-    )
-    meta = dict(dag.meta)
-    meta["mutant"] = mutant
-    return ComparatorDAG(
-        backend=dag.backend,
-        factor=dag.factor,
-        n=dag.n,
-        r=dag.r,
-        num_nodes=dag.num_nodes,
-        phases=new_phases,
-        rounds=new_rounds,
-        meta=meta,
+    return replace(
+        dag,
+        phases=tuple(replace(p, index=i) for i, p in enumerate(phases)),
+        rounds=tuple(
+            replace(rd, index=i, phase=phase_map[rd.phase]) for i, rd in enumerate(rounds)
+        ),
+        meta={**dag.meta, "mutant": mutant},
     )
 
 
@@ -149,13 +125,7 @@ def _mutate_swap_direction(dag: ComparatorDAG) -> ComparatorDAG:
         if rd.phase == target and rd.comparators:
             op = rd.comparators[0]
             flipped = (ComparatorOp(lo=op.hi, hi=op.lo),) + rd.comparators[1:]
-            rounds[i] = ScheduleRound(
-                index=rd.index,
-                phase=rd.phase,
-                charge=rd.charge,
-                comparators=flipped,
-                block_sorts=rd.block_sorts,
-            )
+            rounds[i] = replace(rd, comparators=flipped)
             break
     return _rebuild(dag, list(dag.phases), rounds, "swap_direction")
 
@@ -164,13 +134,7 @@ def _mutate_double_book(dag: ComparatorDAG) -> ComparatorDAG:
     rounds = list(dag.rounds)
     for i, rd in enumerate(rounds):
         if rd.comparators:
-            rounds[i] = ScheduleRound(
-                index=rd.index,
-                phase=rd.phase,
-                charge=rd.charge,
-                comparators=rd.comparators + (rd.comparators[0],),
-                block_sorts=rd.block_sorts,
-            )
+            rounds[i] = replace(rd, comparators=rd.comparators + (rd.comparators[0],))
             return _rebuild(dag, list(dag.phases), rounds, "double_book")
     raise ValueError("schedule has no comparator round to double-book")
 
@@ -304,16 +268,10 @@ def _fault_delete_live_comparator(dag: ComparatorDAG) -> ComparatorDAG:
     for i in range(len(rounds) - 1, -1, -1):
         rd = rounds[i]
         if rd.comparators:
-            rounds[i] = ScheduleRound(
-                index=rd.index, phase=rd.phase, charge=rd.charge,
-                comparators=rd.comparators[:-1], block_sorts=rd.block_sorts,
-            )
+            rounds[i] = replace(rd, comparators=rd.comparators[:-1])
             return _rebuild(dag, list(dag.phases), rounds, "delete_live_comparator")
         if rd.block_sorts:
-            rounds[i] = ScheduleRound(
-                index=rd.index, phase=rd.phase, charge=rd.charge,
-                comparators=rd.comparators, block_sorts=rd.block_sorts[:-1],
-            )
+            rounds[i] = replace(rd, block_sorts=rd.block_sorts[:-1])
             return _rebuild(dag, list(dag.phases), rounds, "delete_live_comparator")
     raise ValueError("optimized schedule has no operation to delete")
 
@@ -329,8 +287,9 @@ def _fault_overpack_rounds(dag: ComparatorDAG) -> ComparatorDAG:
     for i in range(len(rounds) - 1):
         a, b = rounds[i], rounds[i + 1]
         if set(a.touched_nodes()) & set(b.touched_nodes()):
-            rounds[i] = ScheduleRound(
-                index=a.index, phase=a.phase, charge=a.charge + b.charge,
+            rounds[i] = replace(
+                a,
+                charge=a.charge + b.charge,
                 comparators=a.comparators + b.comparators,
                 block_sorts=a.block_sorts + b.block_sorts,
             )

@@ -169,18 +169,6 @@ class TestTheorem1FromTelemetry:
         assert sum(s.rounds for s in s2_spans) == ledger.s2_rounds
         assert sum(s.rounds for s in tracer.find(kind="routing")) == ledger.routing_rounds
 
-    def test_lattice_traced_observer_path_same_counts(self, rng):
-        # the readable per-block Step 4 path (state observer on the bus) must
-        # emit the same span structure as the vectorised path
-        r = 3
-        sorter = ProductNetworkSorter.for_factor(path_graph(3), r)
-        keys = rng.integers(0, 2**20, size=3**r)
-        tracer = Tracer()
-        tracer.bus.subscribe(CallbackSubscriber(lambda e, p: None))
-        sorter.sort_sequence(keys, tracer=tracer)
-        assert tracer.count(kind="s2") == (r - 1) ** 2
-        assert tracer.count(kind="routing") == (r - 1) * (r - 2)
-
     def test_recursion_shape(self, rng):
         # dims 3..r each appear as one merge span on the charged path
         r = 4

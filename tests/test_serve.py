@@ -447,6 +447,28 @@ class TestHttpFrontend:
         assert excinfo.value.code == 400
         assert "27-key vectors" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize(
+        "bad_key",
+        [1.7, 2.0, 1e30, 2**63, -(2**63) - 1, 2**70, True, "3", None],
+        ids=repr,
+    )
+    def test_non_int64_key_is_400(self, live_server, bad_key):
+        """Keys outside the JSON-integer/int64 contract are rejected, not
+        coerced: ``[1.7, 2.2]`` used to come back sorted as ``[1, 2]``, and
+        ``1e30`` / ``2**70`` escaped as a 500."""
+        keys = [bad_key] + list(range(WIDTH - 1))
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(live_server["url"], {"cell": CELL, "keys": keys})
+        assert excinfo.value.code == 400
+        assert "int64" in json.loads(excinfo.value.read())["error"]
+
+    def test_int64_extremes_round_trip(self, live_server):
+        keys = np.zeros(WIDTH, dtype=np.int64)
+        keys[:2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+        status, doc = self._post(live_server["url"], {"cell": CELL, "keys": keys.tolist()})
+        assert status == 200
+        assert np.array_equal(np.asarray(doc["keys"]), _expected(keys))
+
     def test_queues_json_reports_health(self, live_server, rng):
         keys = rng.integers(0, 1000, WIDTH)
         self._post(live_server["url"], {"cell": CELL, "keys": keys.tolist()})
