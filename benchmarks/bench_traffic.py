@@ -21,8 +21,8 @@ from conftest import print_table
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, cycle_graph, path_graph
 from repro.machine.machine import NetworkMachine
-from repro.machine.metrics import CostLedger
 from repro.machine.stats import TrafficRecorder
+from repro.observability import NULL_TRACER
 from repro.orders import lattice_to_sequence
 
 
@@ -35,7 +35,7 @@ def _instrumented_sort(factor, r, rng):
     blocks = ms._pg2_blocks(root)
     ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
     for j in range(3, r + 1):
-        ms._merge_batch(machine, ms._level_views(j), CostLedger())
+        ms._merge_batch(machine, ms._level_views(j), NULL_TRACER)
     assert np.all(np.diff(lattice_to_sequence(machine.lattice())) >= 0)
     return machine, machine.recorder.stats(), keys
 

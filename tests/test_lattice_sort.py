@@ -14,11 +14,12 @@ from repro.analysis.complexity import (
     sort_routing_calls,
     sort_s2_calls,
 )
+from repro.core.adaptive import AdaptiveProductNetworkSorter
 from repro.core.lattice_sort import ProductNetworkSorter
 from repro.core.multiway_merge import multiway_merge
 from repro.core.sorting import multiway_merge_sort
 from repro.graphs import cycle_graph, k2, path_graph
-from repro.observability import CallbackSubscriber, EventBus
+from repro.observability import CallbackSubscriber, EventBus, Tracer
 from repro.orders import lattice_to_sequence, sequence_to_lattice
 from repro.sorters2d import AnalyticSorterModel, ConstantRoutingModel
 
@@ -81,6 +82,42 @@ class TestCorrectness:
         keys = rng.normal(size=16)
         lattice, _ = sorter.sort_sequence(keys)
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
+
+
+class TestMemoryLayout:
+    """Lattices that are not C-contiguous (Fortran order, permuted axes,
+    reversed strides) sort and merge like their C-ordered copies on every
+    path: untraced, traced, adaptive and merge-only."""
+
+    LAYOUTS = {
+        "fortran": np.asfortranarray,
+        "transposed": lambda x: x.T,
+        "reversed": lambda x: x[::-1],
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("cls", [ProductNetworkSorter, AdaptiveProductNetworkSorter])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_sort_lattice(self, layout, cls, traced, rng):
+        sorter = cls.for_factor(path_graph(3), 3)
+        lattice = self.LAYOUTS[layout](rng.integers(0, 100, size=(3, 3, 3)))
+        assert not lattice.flags.c_contiguous
+        backup = lattice.copy()
+        out, ledger = sorter.sort_lattice(lattice, tracer=Tracer() if traced else None)
+        assert np.array_equal(out, sorter.sorted_reference(lattice))
+        assert np.array_equal(lattice, backup)
+        _, expected = sorter.sort_lattice(np.ascontiguousarray(lattice))
+        assert ledger.records == expected.records
+
+    @pytest.mark.parametrize("cls", [ProductNetworkSorter, AdaptiveProductNetworkSorter])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_merge_sorted_subgraphs(self, cls, traced, rng):
+        sorter = cls.for_factor(path_graph(3), 3)
+        keys = rng.integers(0, 100, size=(3, 9))
+        sorted_slices = [sequence_to_lattice(np.sort(keys[u]), 3, 2) for u in range(3)]
+        lattice = np.asfortranarray(np.stack(sorted_slices))
+        merged, _ = sorter.merge_sorted_subgraphs(lattice, tracer=Tracer() if traced else None)
+        assert np.array_equal(merged, sorter.sorted_reference(lattice))
 
 
 class TestValidation:

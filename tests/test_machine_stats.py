@@ -8,6 +8,7 @@ from repro.core.machine_sort import MachineSorter
 from repro.graphs import ProductGraph, complete_binary_tree, path_graph
 from repro.machine.machine import NetworkMachine
 from repro.machine.stats import TrafficRecorder
+from repro.observability import NULL_TRACER
 
 
 def _run_sort_with_recorder(factor, r, rng):
@@ -21,9 +22,7 @@ def _run_sort_with_recorder(factor, r, rng):
     blocks = ms._pg2_blocks(root)
     ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
     for j in range(3, r + 1):
-        from repro.machine.metrics import CostLedger
-
-        ms._merge_batch(machine, ms._level_views(j), CostLedger())
+        ms._merge_batch(machine, ms._level_views(j), NULL_TRACER)
     return machine, recorder
 
 
