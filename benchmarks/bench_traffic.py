@@ -1,7 +1,8 @@
 """E18 (instrumentation) — link-level traffic profile of the sort.
 
-Uses the machine's traffic recorder to characterise how the algorithm loads
-the network — the kind of table an interconnect architect would ask for:
+Subscribes a topology observatory to the machine's step stream to
+characterise how the algorithm loads the network — the kind of table an
+interconnect architect would ask for:
 
 * per-dimension compare-exchange counts: dimensions {1, 2} dominate (all
   2-D base sorts live there); higher dimensions only carry the Step-4
@@ -20,24 +21,18 @@ import pytest
 from conftest import print_table
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import complete_binary_tree, cycle_graph, path_graph
-from repro.machine.machine import NetworkMachine
-from repro.machine.stats import TrafficRecorder
-from repro.observability import NULL_TRACER
+from repro.observability import LinkObservatory, Tracer
 from repro.orders import lattice_to_sequence
 
 
 def _instrumented_sort(factor, r, rng):
     ms = MachineSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**20, size=ms.network.num_nodes)
-    machine = NetworkMachine(ms.network, keys)
-    machine.recorder = TrafficRecorder(ms.network)
-    root = ms.network.subgraph((), ())
-    blocks = ms._pg2_blocks(root)
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    for j in range(3, r + 1):
-        ms._merge_batch(machine, ms._level_views(j), NULL_TRACER)
+    tracer = Tracer()
+    observatory = LinkObservatory(ms.network, bus=tracer.bus)
+    machine, _ = ms.sort(keys, tracer=tracer)
     assert np.all(np.diff(lattice_to_sequence(machine.lattice())) >= 0)
-    return machine, machine.recorder.stats(), keys
+    return machine, observatory.traffic(), keys
 
 
 @pytest.mark.parametrize(
@@ -48,11 +43,9 @@ def _instrumented_sort(factor, r, rng):
 def test_traffic_profile(benchmark, factory, r, rng):
     factor = factory()
     machine, stats, keys = _instrumented_sort(factor, r, rng)
+    ops, lanes = stats["dimension_ops"], stats["dimension_lanes"]
 
-    rows = [
-        [d, stats.dimension_ops.get(d, 0), stats.dimension_lanes.get(d, 0)]
-        for d in range(1, r + 1)
-    ]
+    rows = [[d, ops.get(str(d), 0), lanes.get(str(d), 0)] for d in range(1, r + 1)]
     print_table(
         f"traffic by dimension: {factor.name}, r={r}",
         ["dimension", "pairs", "lanes used"],
@@ -62,23 +55,23 @@ def test_traffic_profile(benchmark, factory, r, rng):
         f"summary: {factor.name}, r={r}",
         ["steps", "pairs", "mean parallelism", "peak utilisation", "adjacent", "routed"],
         [[
-            stats.operations,
-            stats.pair_count,
-            f"{stats.mean_parallelism:.1f}",
-            f"{stats.peak_node_utilisation:.2f}",
-            stats.adjacent_pairs,
-            stats.routed_pairs,
+            stats["operations"],
+            stats["pair_count"],
+            f"{stats['mean_parallelism']:.1f}",
+            f"{stats['peak_node_utilisation']:.2f}",
+            stats["adjacent_pairs"],
+            stats["routed_pairs"],
         ]],
     )
 
     # dims {1,2} dominate the traffic
-    assert stats.dimension_ops[1] >= stats.dimension_ops.get(r, 0)
-    assert stats.dimension_ops[2] >= stats.dimension_ops.get(r, 0)
+    assert ops["1"] >= ops.get(str(r), 0)
+    assert ops["2"] >= ops.get(str(r), 0)
     # Hamiltonian labels -> all adjacent; the h=1 tree must route some
     if factor.labels_follow_hamiltonian_path:
-        assert stats.routed_pairs == 0
+        assert stats["routed_pairs"] == 0
     else:
-        assert stats.routed_pairs > 0
+        assert stats["routed_pairs"] > 0
 
     def run():
         return _instrumented_sort(factor, r, np.random.default_rng(1))
@@ -89,4 +82,4 @@ def test_traffic_profile(benchmark, factory, r, rng):
 def test_peak_utilisation_reaches_half(rng):
     """Odd-even phases engage ~all nodes in pairs: peak utilisation ~1."""
     _, stats, _ = _instrumented_sort(path_graph(4), 3, rng)
-    assert stats.peak_node_utilisation >= 0.5
+    assert stats["peak_node_utilisation"] >= 0.5

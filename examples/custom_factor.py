@@ -19,9 +19,7 @@ import numpy as np
 
 from repro import FactorGraph, MachineSorter, ProductNetworkSorter, lattice_to_sequence
 from repro.analysis import network_prediction
-from repro.machine.stats import TrafficRecorder
-from repro.machine.machine import NetworkMachine
-from repro.machine.metrics import CostLedger
+from repro.observability import LinkObservatory, Tracer
 from repro.viz import render_factor_graph
 
 
@@ -59,16 +57,15 @@ def main() -> None:
     # fine-grained run at r = 2 with traffic instrumentation
     ms = MachineSorter.for_factor(canon, 2)
     keys2 = rng.integers(0, 10**6, size=36)
-    machine = NetworkMachine(ms.network, keys2)
-    machine.recorder = TrafficRecorder(ms.network)
-    blocks = ms._pg2_blocks(ms.network.subgraph((), ()))
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    stats = machine.recorder.stats()
+    tracer = Tracer()
+    observatory = LinkObservatory(ms.network, bus=tracer.bus)
+    machine, _ = ms.sort(keys2, tracer=tracer)
+    traffic = observatory.traffic()
     assert np.array_equal(lattice_to_sequence(machine.lattice()), np.sort(keys2))
     print(
         f"\nfine-grained bowtie^2 sort: {machine.rounds} measured rounds, "
-        f"{stats.pair_count} compare-exchanges "
-        f"({stats.adjacent_pairs} adjacent, {stats.routed_pairs} routed)"
+        f"{traffic['pair_count']} compare-exchanges "
+        f"({traffic['adjacent_pairs']} adjacent, {traffic['routed_pairs']} routed)"
     )
     print("\nYour topology worked on the first try — that is the paper's point.")
 

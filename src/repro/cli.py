@@ -12,8 +12,8 @@ Reproduces the paper's evaluation from the shell:
 * ``topo`` — run one machine sort under the topology observatory and render
   per-link congestion heatmaps and load-imbalance indices (terminal shading,
   standalone SVG, or JSON);
-* ``check`` — static schedule verifier: extract the comparator DAG of every
-  benchreg matrix cell, certify obliviousness, and lint it (zero-one, races,
+* ``check`` — static schedule verifier: emit the comparator DAG of every
+  benchreg matrix cell and lint it (zero-one, races,
   link legality, depth conformance); ``--mutants`` proves the lints catch
   each seeded fault class;
 * ``profile`` — per-layer wall time / occupancy / throughput of one cell's
@@ -196,7 +196,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         sorter = MachineSorter.for_factor(factor, args.r)
         timeline = MachineTimeline(sorter.network, bus=tracer.bus)
         keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-        machine, ledger = sorter.sort(keys, tracer=tracer, timeline=timeline)
+        machine, ledger = sorter.sort(keys, tracer=tracer)
         seq = lattice_to_sequence(machine.lattice())
     else:
         sorter = ProductNetworkSorter.for_factor(factor, args.r)
@@ -226,7 +226,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_topo(args: argparse.Namespace) -> int:
     from .core.machine_sort import MachineSorter
-    from .observability import LinkObservatory, MachineTimeline, Tracer
+    from .observability import LinkObservatory, Tracer
     from .observability.heatmap import (
         render_imbalance_table,
         render_topology_heatmap,
@@ -239,10 +239,9 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     tracer = Tracer()
     sorter = MachineSorter.for_factor(factor, args.r)
     observatory = LinkObservatory(sorter.network, bus=tracer.bus)
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
     rng = np.random.default_rng(args.seed)
     keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-    machine, _ = sorter.sort(keys, tracer=tracer, timeline=timeline)
+    machine, _ = sorter.sort(keys, tracer=tracer)
     seq = lattice_to_sequence(machine.lattice())
     if not bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])):
         print("UNSORTED OUTPUT — topology not exported", file=sys.stderr)
@@ -431,7 +430,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def _cmd_bench_metrics(args: argparse.Namespace) -> int:
     from .core.machine_sort import MachineSorter
-    from .observability import MachineTimeline, MetricsRegistry, MetricsSubscriber, Tracer
+    from .observability import MetricsRegistry, MetricsSubscriber, Tracer
     from .orders import lattice_to_sequence
 
     factor = _trace_factor(args.factor, args.n)
@@ -439,10 +438,9 @@ def _cmd_bench_metrics(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     tracer.bus.subscribe(MetricsSubscriber(registry))
     sorter = MachineSorter.for_factor(factor, args.r)
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
     rng = np.random.default_rng(args.seed)
     keys = rng.integers(0, 2**31, size=sorter.network.num_nodes)
-    machine, _ = sorter.sort(keys, tracer=tracer, timeline=timeline)
+    machine, _ = sorter.sort(keys, tracer=tracer)
     seq = lattice_to_sequence(machine.lattice())
     if not bool(np.all(np.asarray(seq)[:-1] <= np.asarray(seq)[1:])):
         print("UNSORTED OUTPUT — metrics not exported", file=sys.stderr)
@@ -959,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static schedule verifier: comparator-DAG extraction + lints "
-        "over the benchreg workload matrix",
+        help="static schedule verifier: lints over the emitted comparator DAG "
+        "of every benchreg workload cell",
     )
     p.add_argument("--zero-one", action="store_true", help="zero-one certification (Lemmas 1-2)")
     p.add_argument("--races", action="store_true", help="synchronous-round race detector")

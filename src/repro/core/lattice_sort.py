@@ -58,6 +58,7 @@ from ..schedule import (
     charge_phase,
     emit_lattice_program,
     emit_lattice_schedule,
+    reject_nan,
     round_plan,
     walk_program,
 )
@@ -220,6 +221,7 @@ class ProductNetworkSorter:
         a = np.array(lattice, copy=True, order="C")
         if a.shape != self.network.shape:
             raise ValueError(f"lattice shape {a.shape} != network shape {self.network.shape}")
+        reject_nan(a)
         return a
 
     def _sort_via_schedule(self, a: np.ndarray) -> SortOutcome:

@@ -25,9 +25,10 @@ Since the schedule refactor the backend is split in two:
   runs use: spans open with their recorded attributes, each charged phase's
   IR rounds are issued as ``compare_exchange`` super-steps (re-measuring,
   and asserting, the planned costs), and the ledger is charged from the
-  phase identity.  Telemetry
-  consumers — tracer, timeline, traffic recorders, the conformance checker —
-  observe a stream indistinguishable from the historical recursive driver.
+  phase identity.  The machine publishes its super-steps on the tracer's
+  bus, so telemetry consumers — tracer, timeline, topology observatory,
+  the conformance checker — observe a stream indistinguishable from the
+  historical recursive driver.
 
 Consequently the ledger shows the same ``(r-1)**2`` / ``(r-1)(r-2)`` call
 structure as Theorem 1, with measured (not modelled) round counts — now by
@@ -40,7 +41,7 @@ from ..graphs.base import FactorGraph
 from ..graphs.product import ProductGraph, SubgraphView
 from ..machine.machine import NetworkMachine
 from ..machine.metrics import CostLedger
-from ..observability import MachineTimeline, Tracer, coerce_tracer
+from ..observability import EventBus, Tracer, coerce_tracer
 from ..orders.gray import gray_unrank
 from ..schedule import EmittedSchedule, emit_machine_schedule, walk_program
 from ..sorters2d.base import ExecutableTwoDimSorter
@@ -121,10 +122,7 @@ class MachineSorter:
         return self.emitted_schedule().dag
 
     def sort(
-        self,
-        keys,
-        tracer: Tracer | None = None,
-        timeline: MachineTimeline | None = None,
+        self, keys, tracer: Tracer | EventBus | None = None
     ) -> tuple[NetworkMachine, CostLedger]:
         """Sort flat ``keys`` (node flat-index order) into snake order.
 
@@ -135,14 +133,17 @@ class MachineSorter:
         When a ``tracer`` is given, the run is recorded as a span tree of
         the charged phases with *measured* rounds and comparisons per span
         (Theorem 1's ``(r-1)**2`` / ``(r-1)(r-2)`` call structure, from
-        telemetry).  When a ``timeline`` is given it is attached to the
-        machine and receives every compare-exchange super-step.
+        telemetry).  The machine publishes every compare-exchange
+        super-step as a ``machine_step`` event on the tracer's bus (a bare
+        :class:`~repro.observability.events.EventBus` is accepted too), so a
+        :class:`~repro.observability.timeline.MachineTimeline` or
+        :class:`~repro.observability.topology.LinkObservatory` subscribed to
+        it sees the run step by step.
         """
         emitted = self.emitted_schedule()
         dag = emitted.dag
-        machine = NetworkMachine(self.network, keys)
-        if timeline is not None:
-            machine.timeline = timeline
+        tracer = coerce_tracer(tracer)
+        machine = NetworkMachine(self.network, keys, bus=getattr(tracer, "bus", None))
         ledger = CostLedger()
         if self._labels is None:
             self._labels = [self.network.label_of(i) for i in range(self.network.num_nodes)]
@@ -165,9 +166,7 @@ class MachineSorter:
         # span_end attrs recorded at emission carry the full merged dict
         # (static geometry + planned costs); the per-round assert above
         # guarantees they match this run
-        walk_program(
-            emitted.program, dag.phases, run_phase, coerce_tracer(tracer), ledger, "machine"
-        )
+        walk_program(emitted.program, dag.phases, run_phase, tracer, ledger, "machine")
         assert machine.rounds == ledger.total_rounds == dag.depth, (
             "every round must be attributed"
         )
@@ -180,9 +179,9 @@ class MachineSorter:
         """Drive the recursive algorithm on ``machine`` (the emission run).
 
         Called by :func:`repro.schedule.emit.emit_machine_schedule` with a
-        zero-key planning machine and a bus-connected tracer; the recorder on
-        that bus assembles the IR — phases, rounds and charges — from the
-        resulting event stream, so the planning run keeps no ledger.
+        zero-key planning machine publishing on the tracer's bus; the
+        recorder on that bus assembles the IR — phases, rounds and charges —
+        from the resulting event stream, so the planning run keeps no ledger.
         """
         root = self.network.subgraph((), ())
 

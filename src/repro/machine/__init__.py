@@ -26,7 +26,6 @@ from .primitives import (
     product_snake_labels,
     subgraph_snake_labels,
 )
-from .stats import TrafficRecorder, TrafficStats
 from .routing import (
     RoutingResult,
     exchange_rounds,
@@ -43,8 +42,6 @@ __all__ = [
     "simulate_reduce",
     "CostLedger",
     "PhaseRecord",
-    "TrafficRecorder",
-    "TrafficStats",
     "RoutingResult",
     "exchange_rounds",
     "published_routing_bound",

@@ -15,6 +15,14 @@ every data movement performed by the faster NumPy lattice implementation is
 legal on the physical topology, and to measure true round counts including
 routing congestion.  Benchmarks at scale use the lattice implementation;
 cross-checks at small ``N, r`` use this one.
+
+:meth:`NetworkMachine.compare_exchange` is the one place that derives the
+facts of a super-step — each pair's dimension and adjacency, the routed
+paths, the link traversals charged — and, when the machine was given an
+active :class:`~repro.observability.events.EventBus`, it publishes them
+once as a ``machine_step`` event.  Every per-step observer (the timeline,
+the topology observatory, the metrics subscriber, the machine emitter) is a
+plain subscriber to that stream.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from collections import defaultdict
 import numpy as np
 
 from ..graphs.product import ProductGraph
+from ..observability.events import EventBus, TraceEvent, clock
 from .routing import StepRouting, route_partial_permutation
 
 __all__ = ["NetworkMachine"]
@@ -41,9 +50,13 @@ class NetworkMachine:
     keys:
         Initial key of every node, as a flat array in the node's
         :meth:`ProductGraph.flat_index` order (C order of the key lattice).
+    bus:
+        optional :class:`~repro.observability.events.EventBus`; while it has
+        subscribers, every super-step is published on it as one
+        ``machine_step`` event.
     """
 
-    def __init__(self, network: ProductGraph, keys) -> None:
+    def __init__(self, network: ProductGraph, keys, bus: EventBus | None = None) -> None:
         self.network = network
         keys = np.asarray(keys)
         if keys.shape != (network.num_nodes,):
@@ -51,19 +64,13 @@ class NetworkMachine:
                 f"need one key per node: expected shape ({network.num_nodes},), got {keys.shape}"
             )
         self.keys = keys.copy()
+        self.bus = bus
         #: synchronous rounds elapsed (compare-exchange + routing)
         self.rounds = 0
         #: total key comparisons performed
         self.comparisons = 0
         #: number of compare-exchange super-steps issued
         self.operations = 0
-        #: optional :class:`~repro.machine.stats.TrafficRecorder`
-        self.recorder = None
-        #: optional :class:`~repro.observability.timeline.MachineTimeline` —
-        #: receives ``record(pairs, cost)`` once per super-step, and (when
-        #: built with a bus) republishes each step as a ``machine_step``
-        #: event for any other subscriber on the telemetry spine
-        self.timeline = None
 
     # ------------------------------------------------------------------
     # views
@@ -97,10 +104,21 @@ class NetworkMachine:
         each subgraph's simultaneous two-way key exchange is routed by
         :func:`repro.machine.routing.route_partial_permutation`, and the step
         costs the worst subgraph's makespan (all subgraphs route concurrently
-        — they are link-disjoint by construction).  Routed steps hand the
-        hooks a :class:`~repro.machine.routing.StepRouting` with the actual
-        per-packet label routes and buffer occupancy, so subscribers see the
-        wires the exchange really used.
+        — they are link-disjoint by construction).
+
+        With an active :attr:`bus`, the step is published as one
+        ``machine_step`` event whose attrs carry every derived fact:
+        ``step`` (0-based index), ``pairs`` (the label pairs), ``flat_pairs``
+        (the same pairs as flat node ids), ``rounds`` (the charge),
+        ``dimensions`` / ``pair_adjacent`` (per pair: paper dimension, 1 =
+        rightmost symbol, and whether the partners share a factor edge),
+        ``dimension`` (the step's single dimension, ``None`` when mixed),
+        ``adjacent`` (every pair adjacent), ``utilisation`` (fraction of
+        nodes engaged), ``link_traversals`` (two per pair of an adjacent
+        step — the two-way key exchange — otherwise the routed paths' hops)
+        and ``routes`` (a :class:`~repro.machine.routing.StepRouting` with
+        the per-packet label routes and buffer occupancy of a routed step,
+        ``None`` for an adjacent one).
 
         Returns the rounds charged (also accumulated on :attr:`rounds`).
         """
@@ -110,13 +128,16 @@ class NetworkMachine:
         seen: set[int] = set()
         # (dimension index, frozen rest-of-label) -> list of (sym_a, sym_b, flat_a, flat_b)
         by_subgraph: dict[tuple[int, Label], list[tuple[int, int, int, int]]] = defaultdict(list)
-        all_adjacent = True
+        flat_pairs: list[tuple[int, int]] = []
+        dimensions: list[int] = []
+        pair_adjacent: list[bool] = []
         for lo, hi in pairs:
             ia, ib = net.flat_index(lo), net.flat_index(hi)
             if ia == ib or ia in seen or ib in seen:
                 raise ValueError(f"pairs must be disjoint; offending pair {lo}, {hi}")
             seen.add(ia)
             seen.add(ib)
+            flat_pairs.append((ia, ib))
             diff = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
             if len(diff) != 1:
                 raise ValueError(
@@ -126,12 +147,14 @@ class NetworkMachine:
             d = diff[0]
             rest = lo[:d] + lo[d + 1 :]
             by_subgraph[(d, rest)].append((lo[d], hi[d], ia, ib))
-            if not net.factor.has_edge(lo[d], hi[d]):
-                all_adjacent = False
+            dimensions.append(net.r - d)
+            pair_adjacent.append(net.factor.has_edge(lo[d], hi[d]))
 
+        all_adjacent = all(pair_adjacent)
+        routes: StepRouting | None = None
         if all_adjacent:
             cost = 1
-            routes = None
+            traversals = 2 * len(pairs)
         else:
             # route every subgraph's simultaneous two-way exchange; the
             # subgraphs are link-disjoint, so the step's cost is the worst
@@ -161,6 +184,7 @@ class NetworkMachine:
                 round_occupancy=tuple(occupancy),
                 peak_buffer_depth=max(occupancy, default=0),
             )
+            traversals = routes.link_traversals
 
         # execute the exchanges
         for items in by_subgraph.values():
@@ -171,10 +195,28 @@ class NetworkMachine:
         self.comparisons += len(pairs)
         self.rounds += cost
         self.operations += 1
-        if self.recorder is not None:
-            self.recorder.record(pairs, cost, routes)
-        if self.timeline is not None:
-            self.timeline.record(pairs, cost, routes)
+        bus = self.bus
+        if bus is not None and bus.active:
+            bus.publish(
+                TraceEvent(
+                    kind="machine_step",
+                    name="compare_exchange",
+                    time=clock(),
+                    attrs={
+                        "step": self.operations - 1,
+                        "pairs": tuple(pairs),
+                        "flat_pairs": tuple(flat_pairs),
+                        "rounds": cost,
+                        "dimensions": tuple(dimensions),
+                        "pair_adjacent": tuple(pair_adjacent),
+                        "dimension": dimensions[0] if len(set(dimensions)) == 1 else None,
+                        "adjacent": all_adjacent,
+                        "utilisation": 2 * len(pairs) / net.num_nodes,
+                        "link_traversals": traversals,
+                        "routes": routes,
+                    },
+                )
+            )
         return cost
 
     # ------------------------------------------------------------------

@@ -72,8 +72,9 @@ class StepRouting:
     two 1-hop routes).  ``round_occupancy`` / ``peak_buffer_depth`` merge
     the concurrent subgraph episodes (they are node-disjoint for the
     single-dimension steps the §4 algorithm issues, so the merge is exact).
-    Hooks on :class:`~repro.machine.machine.NetworkMachine` receive one of
-    these per routed step — the raw material of the topology observatory.
+    Each routed ``machine_step`` event of
+    :class:`~repro.machine.machine.NetworkMachine` carries one of these —
+    the raw material of the topology observatory.
     """
 
     paths: tuple[tuple[tuple[int, ...], ...], ...]

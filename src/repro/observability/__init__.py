@@ -50,7 +50,6 @@ from .events import (
     EventBus,
     LedgerSubscriber,
     TraceEvent,
-    TrafficSubscriber,
     phase_key,
     point_event,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "EventBus",
     "CallbackSubscriber",
     "LedgerSubscriber",
-    "TrafficSubscriber",
     "point_event",
     "phase_key",
     "Span",

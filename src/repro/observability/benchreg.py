@@ -7,7 +7,9 @@ every cell is one full traced sort — and snapshots, per cell:
 * span statistics and the per-phase round/comparison breakdown,
 * the :mod:`~repro.observability.critical_path` conformance verdict
   (Lemma 3 / Theorem 1, from telemetry),
-* machine traffic stats (machine-backend cells),
+* machine traffic counters (machine-backend cells): operations, pairs per
+  dimension, adjacent/routed pairs, link traversals — counts gated at zero
+  tolerance, parallelism and utilisation informational,
 * the :class:`~repro.observability.topology.LinkObservatory` snapshot
   (machine-backend cells): per-link traversal totals, congestion and
   load-imbalance indices per dimension and per phase, peak buffer depth —
@@ -409,45 +411,17 @@ def _profile_record(sorter, batch: int, rng) -> dict[str, Any]:
 
 
 def _traffic_record(sorter, keys) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Re-run the machine sort with the traffic recorder and the topology
-    observatory riding the event bus (the schedule is oblivious, so the
-    second run's traffic is identical).  A tracer shares the bus so the
-    observatory can attribute every link traversal to its phase."""
-    from ..machine.stats import TrafficRecorder
-    from .events import EventBus, TrafficSubscriber
-    from .timeline import MachineTimeline
+    """Re-run the machine sort with the topology observatory riding the
+    event bus (the schedule is oblivious, so the second run's traffic is
+    identical).  A tracer shares the bus so the observatory can attribute
+    every link traversal to its phase."""
     from .topology import LinkObservatory
     from .tracer import Tracer
 
-    recorder = TrafficRecorder(sorter.network)
-    bus = EventBus()
-    bus.subscribe(TrafficSubscriber(recorder))
-    observatory = LinkObservatory(sorter.network, bus=bus)
-    sorter.sort(
-        keys,
-        tracer=Tracer(bus=bus),
-        timeline=MachineTimeline(sorter.network, bus=bus),
-    )
-    stats = recorder.stats()
-    topology = observatory.snapshot()
-    if topology["total_traversals"] != stats.link_traversals:  # pragma: no cover
-        raise AssertionError(
-            "topology observatory disagrees with the traffic recorder: "
-            f"{topology['total_traversals']} vs {stats.link_traversals} traversals"
-        )
-    traffic = {
-        "operations": stats.operations,
-        "pair_count": stats.pair_count,
-        "mean_parallelism": stats.mean_parallelism,
-        "peak_node_utilisation": stats.peak_node_utilisation,
-        "adjacent_pairs": stats.adjacent_pairs,
-        "routed_pairs": stats.routed_pairs,
-        "routed_link_traversals": stats.routed_link_traversals,
-        "link_traversals": stats.link_traversals,
-        "peak_buffer_depth": stats.peak_buffer_depth,
-        "dimension_ops": {str(d): c for d, c in sorted(stats.dimension_ops.items())},
-    }
-    return traffic, topology
+    tracer = Tracer()
+    observatory = LinkObservatory(sorter.network, bus=tracer.bus)
+    sorter.sort(keys, tracer=tracer)
+    return observatory.traffic(), observatory.snapshot()
 
 
 def _serving_record(seed: int = 0) -> dict[str, Any]:
@@ -564,6 +538,18 @@ DEFAULT_THRESHOLDS: dict[str, float | None] = {
     "topology.peak_buffer_depth": 0.0,
     "topology.mean_load": None,   # redundant with the totals; informational
     "topology.gini": None,
+    # traffic block scalars (machine cells): pair and traversal counts are
+    # structural like the topology totals — zero tolerance; the derived
+    # ratios stay informational like topology.mean_load
+    "traffic.operations": 0.0,
+    "traffic.pair_count": 0.0,
+    "traffic.adjacent_pairs": 0.0,
+    "traffic.routed_pairs": 0.0,
+    "traffic.routed_link_traversals": 0.0,
+    "traffic.link_traversals": 0.0,
+    "traffic.peak_buffer_depth": 0.0,
+    "traffic.mean_parallelism": None,
+    "traffic.peak_node_utilisation": None,
     # compiled block (lattice cells run with a batch): layer count is
     # structural (the ASAP packing is deterministic); the walls and the
     # speedup are wall-clock and stay informational
@@ -627,7 +613,7 @@ SERVING_STRUCTURAL_COUNTS = ("offered", "completed", "rejected", "mismatches", "
 def _comparable_metrics(cell: dict[str, Any]) -> dict[str, float]:
     """A cell's ``metrics`` dict plus flattened block scalars."""
     out: dict[str, float] = dict(cell.get("metrics", {}))
-    for block in ("topology", "compiled", "profile", "optimize"):
+    for block in ("topology", "traffic", "compiled", "profile", "optimize"):
         for key, value in (cell.get(block) or {}).items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue

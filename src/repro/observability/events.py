@@ -4,9 +4,10 @@ One run of the sorter produces a single stream of :class:`TraceEvent`
 objects — span boundaries from the :class:`~repro.observability.tracer.Tracer`,
 machine super-steps from :class:`~repro.machine.machine.NetworkMachine`,
 and free-form point events (the old ``trace(event, payload)`` states).
-Every consumer (cost ledger, traffic recorder, legacy trace callbacks,
-exporters) is a *subscriber* on one :class:`EventBus`, so a single run feeds
-all of them without any instrumentation site being charged twice.
+Every consumer (cost ledger, machine timeline, topology observatory, legacy
+trace callbacks, exporters) is a *subscriber* on one :class:`EventBus`, so a
+single run feeds all of them without any instrumentation site being charged
+twice.
 
 Event kinds
 -----------
@@ -17,8 +18,11 @@ Event kinds
     an instantaneous observation with a payload — the lingua franca of the
     legacy ``trace`` hook (``step1_B``, ``step3_D``, ...).
 ``machine_step``
-    one compare-exchange super-step of the fine-grained machine; the attrs
-    carry the pair list and the rounds charged.
+    one compare-exchange super-step of the fine-grained machine, published
+    once by :meth:`~repro.machine.machine.NetworkMachine.compare_exchange`;
+    the attrs carry the pair list, the rounds charged and every per-step
+    fact the machine derived (per-pair dimension and adjacency, link
+    traversals, routes).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "EventBus",
     "CallbackSubscriber",
     "LedgerSubscriber",
-    "TrafficSubscriber",
     "point_event",
     "phase_key",
 ]
@@ -154,22 +157,3 @@ class LedgerSubscriber:
             self.ledger.charge_s2(rounds, detail=event.name, comparisons=comparisons)
         else:
             self.ledger.charge_routing(rounds, detail=event.name, comparisons=comparisons)
-
-
-class TrafficSubscriber:
-    """Adapter: feed ``machine_step`` events into a
-    :class:`~repro.machine.stats.TrafficRecorder` — the bus-side equivalent
-    of assigning ``machine.recorder`` directly."""
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder: Any) -> None:
-        self.recorder = recorder
-
-    def on_event(self, event: TraceEvent) -> None:
-        if event.kind == "machine_step":
-            self.recorder.record(
-                list(event.attrs["pairs"]),
-                int(event.attrs["rounds"]),
-                event.attrs.get("routes"),
-            )

@@ -262,9 +262,8 @@ def phase_summary(source: Tracer | Iterable[Span], timeline: MachineTimeline | N
     if timeline is not None:
         s = timeline.summary()
         lines.append("")
-        dropped = f" ({s['dropped_steps']} dropped)" if s.get("dropped_steps") else ""
         lines.append(
-            f"machine: {s['steps']} super-steps{dropped}, {s['rounds']} rounds, "
+            f"machine: {s['steps']} super-steps, {s['rounds']} rounds, "
             f"mean parallelism {s['mean_parallelism']:.1f} pairs/step, "
             f"peak utilisation {s['peak_utilisation']:.0%}, "
             f"{s['routed_steps']} routed steps"

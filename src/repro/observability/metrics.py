@@ -519,18 +519,16 @@ class MetricsSubscriber:
         elif event.kind == "point":
             self._points.inc(name=event.name)
         elif event.kind == "machine_step":
-            pairs = len(event.attrs.get("pairs", ()))
+            attrs = event.attrs
+            pairs = len(attrs["pairs"])
             self._steps.inc()
             self._pairs_total.inc(pairs)
             self._pairs.observe(pairs)
-            utilisation = event.attrs.get("utilisation")
-            if utilisation is not None:
-                self._util.set(float(utilisation))
-            routes = event.attrs.get("routes")
-            if routes is None:
-                self._traversals.inc(2 * pairs, kind="adjacent")
-            else:
-                self._traversals.inc(routes.link_traversals, kind="routed")
+            self._util.set(float(attrs["utilisation"]))
+            routes = attrs["routes"]
+            kind = "adjacent" if routes is None else "routed"
+            self._traversals.inc(attrs["link_traversals"], kind=kind)
+            if routes is not None:
                 if routes.peak_buffer_depth > self._buffer_peak.value():
                     self._buffer_peak.set(routes.peak_buffer_depth)
                 for depth in routes.round_occupancy:

@@ -4,28 +4,20 @@ Where the span tree answers *which phase ran when*, the timeline answers the
 machine-level questions underneath: how many node pairs each compare-exchange
 super-step engaged (parallelism actually exploited), which paper dimension
 carried it, and whether the exchange rode network links or had to route.
-Attach one to a :class:`~repro.machine.machine.NetworkMachine`::
+It is a plain subscriber to the ``machine_step`` events a
+:class:`~repro.machine.machine.NetworkMachine` publishes on its bus::
 
-    machine.timeline = MachineTimeline(machine.network)
-
-The machine calls :meth:`MachineTimeline.record` once per super-step — the
-same single-line hook the :class:`~repro.machine.stats.TrafficRecorder`
-uses.  When built with a bus, every step is also published as a
-``machine_step`` event, which is how the traffic recorder can ride the
-unified spine instead of a direct machine attribute (see
-:class:`~repro.observability.events.TrafficSubscriber`).
+    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
+    sorter.sort(keys, tracer=tracer)
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .events import EventBus, TraceEvent, clock
+from .events import EventBus, TraceEvent
 
 __all__ = ["MachineStep", "MachineTimeline"]
-
-Label = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ class MachineStep:
     adjacent: bool
     #: fraction of the machine's nodes busy this step
     utilisation: float
-    #: wall-clock stamp (perf_counter seconds) when the step was recorded
+    #: wall-clock stamp (perf_counter seconds) when the step was published
     time: float
     #: directed link traversals when the step routed (0 for adjacent steps)
     routed_hops: int = 0
@@ -59,95 +51,42 @@ class MachineTimeline:
     Parameters
     ----------
     network:
-        the :class:`~repro.graphs.product.ProductGraph` being simulated
-        (used to derive dimensions and utilisation).
+        the :class:`~repro.graphs.product.ProductGraph` being simulated.
     bus:
-        optional :class:`EventBus`; when given and active, each recorded
-        step is also published as a ``machine_step`` event carrying the raw
-        pair list.
-    max_steps:
-        opt-in memory bound: when set, only the most recent ``max_steps``
-        steps are retained (a ring buffer) and older ones are dropped,
-        counted in :attr:`dropped_steps`.  Step indices stay absolute, so a
-        truncated export is recognisable by its first ``index`` > 0.
-        Dropped steps still reach the bus before being forgotten.
+        optional :class:`EventBus`; when given, the timeline subscribes
+        itself (construct unattached and call :meth:`on_event` manually to
+        replay a recorded stream).
     """
 
-    def __init__(self, network, bus: EventBus | None = None, max_steps: int | None = None) -> None:
-        if max_steps is not None and max_steps < 1:
-            raise ValueError("max_steps must be a positive integer (or None)")
+    def __init__(self, network, bus: EventBus | None = None) -> None:
         self.network = network
-        self.bus = bus
-        self.max_steps = max_steps
-        self.steps: "list[MachineStep] | deque[MachineStep]" = (
-            [] if max_steps is None else deque(maxlen=max_steps)
-        )
-        #: steps evicted by the ring buffer since the last :meth:`reset`
-        self.dropped_steps = 0
-        self._recorded = 0
+        self.steps: list[MachineStep] = []
+        if bus is not None:
+            bus.subscribe(self)
 
-    def record(self, pairs: list[tuple[Label, Label]], cost: int, routes=None) -> None:
-        """Observe one super-step (called by the machine).
-
-        ``routes`` is the step's :class:`~repro.machine.routing.StepRouting`
-        when the exchange routed, ``None`` for purely adjacent steps; it is
-        forwarded verbatim in the ``machine_step`` event's attrs so bus
-        subscribers (traffic stats, the topology observatory) see the actual
-        label routes.
-        """
-        r = self.network.r
-        factor = self.network.factor
-        dims: set[int] = set()
-        adjacent = True
-        for lo, hi in pairs:
-            diff = [i for i, (a, b) in enumerate(zip(lo, hi)) if a != b]
-            if len(diff) != 1:  # pragma: no cover - machine validates first
-                continue
-            dims.add(r - diff[0])
-            if not factor.has_edge(lo[diff[0]], hi[diff[0]]):
-                adjacent = False
-        nodes = self.network.num_nodes
-        step = MachineStep(
-            index=self._recorded,
-            pairs=len(pairs),
-            rounds=cost,
-            dimension=dims.pop() if len(dims) == 1 else None,
-            adjacent=adjacent,
-            utilisation=(2 * len(pairs) / nodes) if nodes else 0.0,
-            time=clock(),
-            routed_hops=routes.link_traversals if routes is not None else 0,
-            peak_buffer_depth=routes.peak_buffer_depth if routes is not None else 0,
-        )
-        self._recorded += 1
-        if self.max_steps is not None and len(self.steps) == self.max_steps:
-            self.dropped_steps += 1
-        self.steps.append(step)
-        if self.bus is not None and self.bus.active:
-            self.bus.publish(
-                TraceEvent(
-                    kind="machine_step",
-                    name="compare_exchange",
-                    time=step.time,
-                    attrs={
-                        "step": step.index,
-                        "pairs": tuple(pairs),
-                        "rounds": cost,
-                        "dimension": step.dimension,
-                        "adjacent": adjacent,
-                        "utilisation": step.utilisation,
-                        "routes": routes,
-                    },
-                )
+    def on_event(self, event: TraceEvent) -> None:
+        if event.kind != "machine_step":
+            return
+        attrs = event.attrs
+        routes = attrs["routes"]
+        self.steps.append(
+            MachineStep(
+                index=attrs["step"],
+                pairs=len(attrs["pairs"]),
+                rounds=attrs["rounds"],
+                dimension=attrs["dimension"],
+                adjacent=attrs["adjacent"],
+                utilisation=attrs["utilisation"],
+                time=event.time,
+                routed_hops=attrs["link_traversals"] if routes is not None else 0,
+                peak_buffer_depth=routes.peak_buffer_depth if routes is not None else 0,
             )
+        )
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregate view: totals plus per-dimension step/pair counts.
-
-        With a ring buffer active the aggregates cover only the retained
-        steps; ``dropped_steps`` says how many older ones were evicted.
-        """
-        steps = list(self.steps)
+        """Aggregate view: totals plus per-dimension step/pair counts."""
+        steps = self.steps
         per_dim_steps: dict[int, int] = {}
         per_dim_pairs: dict[int, int] = {}
         for s in steps:
@@ -164,11 +103,8 @@ class MachineTimeline:
             "routed_steps": sum(1 for s in steps if not s.adjacent),
             "dimension_steps": dict(sorted(per_dim_steps.items())),
             "dimension_pairs": dict(sorted(per_dim_pairs.items())),
-            "dropped_steps": self.dropped_steps,
         }
 
     def reset(self) -> None:
         """Forget everything (reuse across runs)."""
         self.steps.clear()
-        self.dropped_steps = 0
-        self._recorded = 0

@@ -22,12 +22,18 @@ wires (idle wires count — imbalance is relative to the hardware), a Gini
 coefficient of the load distribution, and the peak intermediate-node buffer
 depth — the empirical check of routing.py's "buffers stay tiny" claim.
 
+The observatory also keeps the run's traffic counters — operations, pairs
+per paper dimension and the lanes they used, adjacent vs routed pairs, the
+machine's link-traversal count — behind one :meth:`LinkObservatory.traffic`
+view, the ``traffic`` block :mod:`~repro.observability.benchreg` persists.
+Every per-step fact it counts is read off the event as the machine derived
+it; the observatory derives none of them itself.
+
 Invariants tests pin (and :mod:`~repro.observability.benchreg` snapshots
 with zero tolerance):
 
-* ``total_traversals`` equals the
-  :class:`~repro.machine.stats.TrafficRecorder`'s pair-derived
-  ``link_traversals`` exactly;
+* ``total_traversals`` (the edge histogram's sum) equals the machine's
+  published ``link_traversals`` count exactly;
 * the per-phase edge histograms sum to the global histogram;
 * ``peak_buffer_depth <= 3`` for canonically-labelled factors (dilation-3
   linear embeddings).
@@ -131,6 +137,15 @@ class LinkObservatory:
         self._occupancy: list[int] = []
         self._steps = 0
         self._routed_steps = 0
+        # traffic counters (see :meth:`traffic`)
+        self._pair_count = 0
+        self._peak_utilisation = 0.0
+        self._adjacent_pairs = 0
+        self._link_traversals = 0
+        self._routed_link_traversals = 0
+        self._dimension_ops: Counter = Counter()
+        #: paper dimension -> distinct factor-subgraph lanes (rest-of-label)
+        self._dimension_lanes: dict[int, set[Label]] = {}
         # enclosing-phase stack: (span_id, phase key, inherited dim)
         self._stack: list[tuple[int | None, str, Any]] = []
         if bus is not None:
@@ -154,14 +169,21 @@ class LinkObservatory:
     def _observe_step(self, attrs: Any) -> None:
         phase = self._stack[-1][1] if self._stack else UNATTRIBUTED
         per_phase = self._phase_edge_loads.setdefault(phase, Counter())
-        flat = self.network.flat_index
         self._steps += 1
-        routes = attrs.get("routes")
+        pairs = attrs["pairs"]
+        self._pair_count += len(pairs)
+        self._peak_utilisation = max(self._peak_utilisation, attrs["utilisation"])
+        self._link_traversals += attrs["link_traversals"]
+        r = self.network.r
+        for (lo, _), dim, adjacent in zip(pairs, attrs["dimensions"], attrs["pair_adjacent"]):
+            self._dimension_ops[dim] += 1
+            self._dimension_lanes.setdefault(dim, set()).add(lo[: r - dim] + lo[r - dim + 1 :])
+            self._adjacent_pairs += adjacent
+        routes = attrs["routes"]
         busy: set[int] = set()
         if routes is None:
             # purely adjacent step: each pair exchanges keys both ways
-            for lo, hi in attrs["pairs"]:
-                a, b = flat(lo), flat(hi)
+            for a, b in attrs["flat_pairs"]:
                 busy.add(a)
                 busy.add(b)
                 for edge in ((a, b), (b, a)):
@@ -171,6 +193,8 @@ class LinkObservatory:
             # routed step: charge the wires the packets actually rode;
             # relaying intermediates did work too, so they count as busy
             self._routed_steps += 1
+            self._routed_link_traversals += attrs["link_traversals"]
+            flat = self.network.flat_index
             for path in routes.paths:
                 flats = [flat(label) for label in path]
                 busy.update(flats)
@@ -227,6 +251,36 @@ class LinkObservatory:
         if dim is None:
             raise ValueError(f"{edge} does not lie in a single dimension")
         return dim
+
+    def traffic(self) -> dict[str, Any]:
+        """JSON-safe traffic counters of the run (benchreg's ``traffic`` block).
+
+        ``operations`` super-steps engaged ``pair_count`` node pairs
+        (``mean_parallelism`` per step; the busiest step kept
+        ``peak_node_utilisation`` of the nodes busy).  Pairs split into
+        ``adjacent_pairs`` (partners share a factor edge) and
+        ``routed_pairs``; ``dimension_ops`` counts pairs per paper dimension
+        (1 = rightmost symbol) and ``dimension_lanes`` the distinct factor
+        subgraphs each dimension used.  ``link_traversals`` is the machine's
+        count of directed-link traversals, ``routed_link_traversals`` the
+        routed steps' share of it.
+        """
+        steps = self._steps
+        return {
+            "operations": steps,
+            "pair_count": self._pair_count,
+            "mean_parallelism": self._pair_count / steps if steps else 0.0,
+            "peak_node_utilisation": self._peak_utilisation,
+            "adjacent_pairs": self._adjacent_pairs,
+            "routed_pairs": self._pair_count - self._adjacent_pairs,
+            "routed_link_traversals": self._routed_link_traversals,
+            "link_traversals": self._link_traversals,
+            "peak_buffer_depth": self.peak_buffer_depth,
+            "dimension_ops": {str(d): c for d, c in sorted(self._dimension_ops.items())},
+            "dimension_lanes": {
+                str(d): len(lanes) for d, lanes in sorted(self._dimension_lanes.items())
+            },
+        }
 
     # ------------------------------------------------------------------
     # node utilisation
@@ -337,6 +391,13 @@ class LinkObservatory:
         self._occupancy.clear()
         self._steps = 0
         self._routed_steps = 0
+        self._pair_count = 0
+        self._peak_utilisation = 0.0
+        self._adjacent_pairs = 0
+        self._link_traversals = 0
+        self._routed_link_traversals = 0
+        self._dimension_ops.clear()
+        self._dimension_lanes.clear()
         self._stack.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

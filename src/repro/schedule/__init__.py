@@ -32,6 +32,7 @@ from .compiled import (
     clear_kernel_cache,
     compile_schedule,
     get_profiler,
+    reject_nan,
     round_plan,
     set_profiler,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "emit_machine_schedule",
     "get_profiler",
     "phase_detail",
+    "reject_nan",
     "replay",
     "round_plan",
     "set_profiler",

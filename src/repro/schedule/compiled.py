@@ -47,9 +47,22 @@ __all__ = [
     "clear_kernel_cache",
     "compile_schedule",
     "get_profiler",
+    "reject_nan",
     "round_plan",
     "set_profiler",
 ]
+
+
+def reject_nan(keys: np.ndarray) -> None:
+    """Raise ``ValueError`` when a float key array holds a NaN.
+
+    The comparators' ``np.minimum``/``np.maximum`` propagate NaN, so one NaN
+    key would come back as two and the output would not be a permutation of
+    the input.  ±inf is accepted: min/max and ``np.sort`` order it alike.
+    Only float dtypes pay for the check.
+    """
+    if keys.dtype.kind == "f" and np.isnan(keys).any():
+        raise ValueError("NaN keys cannot be sorted by a comparator network")
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,7 @@ class CompiledSchedule:
     def _prepare(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
         """Copy/validate ``state`` into a ``(batch, num_nodes)`` work array."""
         arr = np.array(state, copy=True)
+        reject_nan(arr)
         squeeze = arr.ndim == 1
         if squeeze:
             arr = arr[np.newaxis, :]

@@ -322,9 +322,9 @@ class _MachineEmitRecorder:
     """Event-bus subscriber assembling the DAG and span program.
 
     Subscribes to the bus a :class:`~repro.observability.tracer.Tracer` and
-    :class:`~repro.observability.timeline.MachineTimeline` publish to; every
-    ``machine_step`` becomes one :class:`ScheduleRound` attributed to the
-    innermost open charged (``s2``/``routing``) span.
+    the planning :class:`~repro.machine.machine.NetworkMachine` publish to;
+    every ``machine_step`` becomes one :class:`ScheduleRound` attributed to
+    the innermost open charged (``s2``/``routing``) span.
     """
 
     def __init__(self, network: "ProductGraph") -> None:
@@ -335,14 +335,6 @@ class _MachineEmitRecorder:
         self._path: list[str] = []
         self._charged: list[int] = []
         self._span_phase: dict[int | None, int] = {}
-        self._flat_cache: dict[tuple[int, ...], int] = {}
-
-    def _flat(self, label: tuple[int, ...]) -> int:
-        idx = self._flat_cache.get(label)
-        if idx is None:
-            idx = self.network.flat_index(label)
-            self._flat_cache[label] = idx
-        return idx
 
     def on_event(self, event: "TraceEvent") -> None:
         if event.kind == "span_start":
@@ -368,9 +360,7 @@ class _MachineEmitRecorder:
         elif event.kind == "machine_step":
             if not self._charged:
                 raise RuntimeError("machine step observed outside any charged phase span")
-            comparators = tuple(
-                ComparatorOp(self._flat(lo), self._flat(hi)) for lo, hi in event.attrs["pairs"]
-            )
+            comparators = tuple(ComparatorOp(lo, hi) for lo, hi in event.attrs["flat_pairs"])
             self._rounds.append((self._charged[-1], int(event.attrs["rounds"]), comparators))
 
     def emitted(self) -> EmittedSchedule:
@@ -404,7 +394,7 @@ def emit_machine_schedule(sorter: "MachineSorter") -> EmittedSchedule:
     the geometry, so the recorded schedule is the schedule of *every* run.
     """
     from ..machine.machine import NetworkMachine
-    from ..observability import EventBus, MachineTimeline, Tracer
+    from ..observability import EventBus, Tracer
 
     network = sorter.network
     key = (network.factor.name, network.factor.n, network.r, sorter.sorter.name)
@@ -417,8 +407,7 @@ def emit_machine_schedule(sorter: "MachineSorter") -> EmittedSchedule:
 
     bus = EventBus()
     recorder = bus.subscribe(_MachineEmitRecorder(network))
-    machine = NetworkMachine(network, np.zeros(network.num_nodes, dtype=np.int64))
-    machine.timeline = MachineTimeline(network, bus=bus)
+    machine = NetworkMachine(network, np.zeros(network.num_nodes, dtype=np.int64), bus=bus)
     sorter._plan(machine, Tracer(bus))
     emitted = recorder.emitted()
     assert machine.rounds == emitted.dag.depth, "emission must attribute every planned round"

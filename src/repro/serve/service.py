@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..observability.metrics import MetricsRegistry
+from ..schedule.compiled import reject_nan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability.tracer import Tracer
@@ -305,7 +306,9 @@ class SortService:
         Returns the sorted row (snake order over the product lattice) once
         the micro-batch containing this request has flushed.  Raises
         :class:`Rejected` immediately when the queue is full or the service
-        is shutting down, and ``ValueError`` on a malformed key vector.
+        is shutting down, and ``ValueError`` on a malformed key vector
+        (wrong shape, or a NaN key) before the request is queued, so a bad
+        request never fails its batch-mates.
         """
         loop = asyncio.get_running_loop()
         queue = self._get_queue(cell_key)
@@ -315,6 +318,7 @@ class SortService:
                 f"cell {queue.key} sorts {queue.kernel.num_nodes}-key vectors, "
                 f"got shape {arr.shape}"
             )
+        reject_nan(arr)
         if self._closed:
             self._reject(queue.key, "shutting_down")
         if queue.depth >= self.config.max_queue_depth:
@@ -373,7 +377,7 @@ class SortService:
             if self.tracer is not None
             else nullcontext()
         )
-        out: np.ndarray | None = None
+        out: list[np.ndarray] | None = None
         error: BaseException | None = None
         with span_ctx:
             kernel_ctx: Any = (
@@ -384,8 +388,7 @@ class SortService:
             with kernel_ctx:
                 try:
                     with self._flush_errors.count_exceptions(cell=queue.key):
-                        stacked = np.stack([req.keys for req in batch])
-                        out = queue.kernel.run(stacked)
+                        out = self._run_by_dtype(queue.kernel, batch)
                 except Exception as exc:  # deliver the failure, keep serving
                     error = exc
         completion = loop.time()
@@ -408,6 +411,23 @@ class SortService:
                 assert out is not None
                 self._requests.inc(cell=queue.key, outcome="completed")
                 req.future.set_result(out[i])
+
+    @staticmethod
+    def _run_by_dtype(kernel: "CompiledSchedule", batch: list[_Request]) -> list[np.ndarray]:
+        """One kernel pass per distinct key dtype in the batch.
+
+        Stacking mixed dtypes would promote every row to a common type (an
+        int64 request beside a float64 one would be rounded to float64), so
+        each dtype's requests are stacked and sorted on their own; returns
+        the sorted rows in batch order.
+        """
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, req in enumerate(batch):
+            by_dtype.setdefault(req.keys.dtype, []).append(i)
+        rows: dict[int, np.ndarray] = {}
+        for members in by_dtype.values():
+            rows.update(zip(members, kernel.run(np.stack([batch[i].keys for i in members]))))
+        return [rows[i] for i in range(len(batch))]
 
     # -- lifecycle -------------------------------------------------------
 

@@ -3,10 +3,9 @@
 The algorithm of §3.1/§4 is data-oblivious: its compare-exchange schedule is
 a function of the geometry ``(G, N, r)`` alone.  The core **emits** that
 schedule as a first-class static artifact — a
-:class:`~repro.schedule.ComparatorDAG`, see :mod:`repro.schedule` — and this
-package certifies it without re-running the sorter: backend/replay
-equivalence under adversarial key assignments (obliviousness), zero-one
-sortedness (Lemma 2, with Lemma-1 dirty-area early exit),
+:class:`~repro.schedule.ComparatorDAG`, see :mod:`repro.schedule` — that
+every backend interprets, and this package certifies it without re-running
+the sorter: zero-one sortedness (Lemma 2, with Lemma-1 dirty-area early exit),
 synchronous-round race freedom, §4 link legality, exact
 ``S_r(N)``/``M_k(N)`` depth conformance, and dead-comparator detection.
 A seeded mutant harness proves each lint has teeth.  The ``repro check``
@@ -22,14 +21,7 @@ from ..schedule import (
     replay,
     snake_order_nodes,
 )
-from .extract import (
-    ExtractionResult,
-    ObliviousnessCertificate,
-    adversarial_key_sets,
-    certify_oblivious,
-    emit_schedule,
-    extract_schedule,
-)
+from .extract import adversarial_key_sets, emit_schedule
 from .lints import (
     LINT_NAMES,
     LintFinding,
@@ -77,12 +69,8 @@ __all__ = [
     "ScheduleRound",
     "replay",
     "snake_order_nodes",
-    "ExtractionResult",
-    "ObliviousnessCertificate",
     "adversarial_key_sets",
-    "certify_oblivious",
     "emit_schedule",
-    "extract_schedule",
     "LINT_NAMES",
     "LintFinding",
     "LintResult",

@@ -1,10 +1,10 @@
 """Drive the static verifier over the canonical benchreg workload matrix.
 
 :func:`run_check` is what ``repro check`` executes: for every matrix cell it
-emits the schedule once and cross-checks the real backend against it under
-adversarial key assignments (obliviousness certificate), then runs the
-requested lints over the certified DAG; ``compiled=True`` additionally
-requires the compiled batch kernel to agree with the reference replay.  Lattice
+takes the emitted schedule (:func:`~repro.staticcheck.extract.emit_schedule`)
+and runs the requested lints over it; ``compiled=True`` additionally
+requires the compiled batch kernel to agree with the reference replay under
+adversarial key assignments.  Lattice
 cells additionally pin the depth lint to the analytic per-call round models,
 so conformance is checked against the exact published ``S_r(N)`` — the same
 convention the dynamic critical-path conformance uses.
@@ -25,9 +25,9 @@ import numpy as np
 
 from ..observability.benchreg import DEFAULT_MATRIX, WorkloadCell
 from ..graphs.product import ProductGraph
-from ..schedule import compile_schedule, replay
+from ..schedule import ComparatorDAG, compile_schedule, replay
 from ..schedule.optimize import OptimizationResult, optimize_schedule
-from .extract import ObliviousnessCertificate, adversarial_key_sets, certify_oblivious
+from .extract import adversarial_key_sets, emit_schedule
 from .lints import LINT_NAMES, VerificationReport, verify_dag
 from .mutants import (
     MutantOutcome,
@@ -76,7 +76,7 @@ class CellCheck:
     """Everything the verifier established about one workload cell."""
 
     cell: WorkloadCell
-    certificate: ObliviousnessCertificate
+    dag: ComparatorDAG
     report: VerificationReport | None
     #: compiled-kernel equivalence verdict (None when not requested)
     compiled_ok: bool | None = None
@@ -85,8 +85,6 @@ class CellCheck:
 
     @property
     def ok(self) -> bool:
-        if not self.certificate.ok:
-            return False
         if self.compiled_ok is False:
             return False
         if self.optimize is not None and not self.optimize.ok:
@@ -95,7 +93,7 @@ class CellCheck:
 
     @property
     def failed(self) -> list[str]:
-        out = [] if self.certificate.ok else ["oblivious"]
+        out: list[str] = []
         if self.compiled_ok is False:
             out.append("compiled")
         if self.optimize is not None and not self.optimize.ok:
@@ -109,17 +107,13 @@ class CellCheck:
             "cell": self.cell.key,
             "ok": self.ok,
             "failed": self.failed,
-            "oblivious": {
-                "ok": self.certificate.ok,
-                "hashes": dict(self.certificate.hashes),
-            },
             "dag": {
-                "phases": len(self.certificate.dag.phases),
-                "rounds": len(self.certificate.dag.rounds),
-                "comparators": self.certificate.dag.comparator_count,
-                "block_sorts": self.certificate.dag.block_sort_count,
-                "depth": self.certificate.dag.depth,
-                "hash": self.certificate.dag.schedule_hash(),
+                "phases": len(self.dag.phases),
+                "rounds": len(self.dag.rounds),
+                "comparators": self.dag.comparator_count,
+                "block_sorts": self.dag.block_sort_count,
+                "depth": self.dag.depth,
+                "hash": self.dag.schedule_hash(),
             },
         }
         if self.compiled_ok is not None:
@@ -211,14 +205,13 @@ def _select_cells(
     return chosen
 
 
-def _check_compiled(certificate: ObliviousnessCertificate, seed: int) -> bool:
+def _check_compiled(dag: ComparatorDAG, seed: int) -> bool:
     """The compiled batch kernel must agree with the reference replay.
 
     Runs the whole adversarial key battery as one ``(batch, N^r)`` array
     through the packed kernel and compares it row for row against
     :func:`~repro.schedule.replay` of the same DAG.
     """
-    dag = certificate.dag
     batch = np.stack(list(adversarial_key_sets(dag.num_nodes, seed).values()))
     return bool(np.array_equal(compile_schedule(dag).run(batch), replay(dag, batch)))
 
@@ -231,7 +224,7 @@ def run_check(
     compiled: bool = False,
     optimize: bool = False,
 ) -> CheckRun:
-    """Certify obliviousness and run the requested lints on each cell.
+    """Run the requested lints on each cell's emitted schedule.
 
     ``optimize=True`` additionally runs the certified optimizer pipeline on
     every cell (per-pass certificates + translation validation, see
@@ -242,22 +235,22 @@ def run_check(
     run = CheckRun()
     for cell in _select_cells(cells, only):
         factor = cell.build_factor()
-        certificate = certify_oblivious(factor, cell.r, backend=cell.backend, seed=seed)
+        dag = emit_schedule(factor, cell.r, backend=cell.backend)
         report = None
         s2_model, routing_model = _analytic_models(cell)
         if lints:
             report = verify_dag(
-                certificate.dag,
+                dag,
                 network=ProductGraph(factor, cell.r),
                 lints=lints,
                 s2_model_rounds=s2_model,
                 routing_model_rounds=routing_model,
             )
-        compiled_ok = _check_compiled(certificate, seed) if compiled else None
+        compiled_ok = _check_compiled(dag, seed) if compiled else None
         optimization = None
         if optimize:
             optimization = optimize_schedule(
-                certificate.dag,
+                dag,
                 validate=True,
                 network=ProductGraph(factor, cell.r),
                 s2_model_rounds=s2_model,
@@ -265,7 +258,7 @@ def run_check(
                 seed=seed,
             )
         run.cells.append(
-            CellCheck(cell=cell, certificate=certificate, report=report,
+            CellCheck(cell=cell, dag=dag, report=report,
                       compiled_ok=compiled_ok, optimize=optimization)
         )
     if optimize:
@@ -307,13 +300,13 @@ def render_check(run: CheckRun, verbose: bool = False) -> str:
     """Human-readable summary table plus any findings."""
     lines = []
     header = (
-        f"{'cell':<22} {'verdict':<8} {'oblivious':<10} {'phases':>6} "
+        f"{'cell':<22} {'verdict':<8} {'phases':>6} "
         f"{'rounds':>6} {'depth':>6} {'dirty/N^2':>10} {'dead':>5}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for check in run.cells:
-        dag = check.certificate.dag
+        dag = check.dag
         zo = check.report.results.get("zero-one") if check.report else None
         dirty = (
             f"{zo.stats.get('lemma1_max_dirty', '?')}/{zo.stats.get('lemma1_bound', '?')}"
@@ -322,9 +315,8 @@ def render_check(run: CheckRun, verbose: bool = False) -> str:
         )
         dead = str(zo.stats.get("dead_comparators", "-")) if zo else "-"
         verdict = "ok" if check.ok else "FAIL"
-        oblivious = "ok" if check.certificate.ok else "FAIL"
         lines.append(
-            f"{check.cell.key:<22} {verdict:<8} {oblivious:<10} "
+            f"{check.cell.key:<22} {verdict:<8} "
             f"{len(dag.phases):>6} {len(dag.rounds):>6} {dag.depth:>6} "
             f"{dirty:>10} {dead:>5}"
         )
@@ -337,9 +329,6 @@ def render_check(run: CheckRun, verbose: bool = False) -> str:
                     continue
                 tag = "note" if f.advisory else "FAIL"
                 lines.append(f"[{tag}] {check.cell.key} {res.lint}: {f.message}")
-        if not check.certificate.ok:
-            lines.append(f"[FAIL] {check.cell.key} oblivious: backend diverges from "
-                         f"the emitted schedule — {check.certificate.hashes}")
         if check.compiled_ok is False:
             lines.append(f"[FAIL] {check.cell.key} compiled: batch kernel output "
                          f"differs from reference replay")

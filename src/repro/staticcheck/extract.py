@@ -1,48 +1,22 @@
-"""Schedule extraction: a thin equivalence check over the emitted IR.
+"""Inputs of the static verifier: the emitted schedule and adversarial keys.
 
-Historically this module *recorded* schedules by instrumenting a real run
-(an event-bus subscriber for the machine backend, a recording sorter
-subclass for the lattice backend).  The core now **emits** its own
-:class:`ComparatorDAG` — see :mod:`repro.schedule` — so extraction reduces
-to three steps:
-
-1. **emit** the schedule structurally (no keys involved) via
-   :func:`emit_schedule`;
-2. **run** the real backend on concrete keys for its output and cost
-   ledger;
-3. **check** that replaying the emitted DAG on the same keys reproduces
-   the backend's output bit for bit.
-
-Step 3 is what makes :func:`certify_oblivious` meaningful now that the DAG
-is keyless by construction: the certificate runs the *backend* under
-several adversarial key assignments (sorted, reverse-sorted, constant,
-alternating, random) and requires each run to match the one static
-schedule.  A backend whose data movement depended on key values would
-diverge from the key-independent replay on some adversarial input.
+The core **emits** its own :class:`ComparatorDAG` — see :mod:`repro.schedule`
+— keylessly, so the schedule is a function of the geometry alone and every
+backend interprets that one artifact.  :func:`emit_schedule` fetches it per
+backend; :func:`adversarial_key_sets` supplies the key batteries the compiled
+kernel and the translation validator are checked on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from ..core.lattice_sort import ProductNetworkSorter
 from ..core.machine_sort import MachineSorter
 from ..graphs.base import FactorGraph
-from ..graphs.product import ProductGraph
-from ..machine.metrics import CostLedger
-from ..schedule import ComparatorDAG, replay
+from ..schedule import ComparatorDAG
 
-__all__ = [
-    "ExtractionResult",
-    "ObliviousnessCertificate",
-    "emit_schedule",
-    "extract_schedule",
-    "certify_oblivious",
-    "adversarial_key_sets",
-]
+__all__ = ["emit_schedule", "adversarial_key_sets"]
 
 
 def emit_schedule(factor: FactorGraph, r: int, backend: str = "machine") -> ComparatorDAG:
@@ -54,50 +28,10 @@ def emit_schedule(factor: FactorGraph, r: int, backend: str = "machine") -> Comp
     raise ValueError(f"unknown backend {backend!r} (expected 'machine' or 'lattice')")
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    """One extraction run: the emitted DAG plus the run's observable outcome."""
-
-    dag: ComparatorDAG
-    #: final keys in flat node order (what the real backend produced)
-    output: np.ndarray
-    ledger: CostLedger
-    #: the keys the extraction ran on
-    keys: np.ndarray
-    #: did replaying the emitted DAG reproduce the backend's output?
-    replay_matches: bool = True
-
-
-def extract_schedule(
-    factor: FactorGraph,
-    r: int,
-    backend: str = "machine",
-    keys: Any = None,
-    seed: int = 0,
-) -> ExtractionResult:
-    """Emit the schedule, run ``backend`` on ``keys``, and cross-check them."""
-    network = ProductGraph(factor, r)
-    if keys is None:
-        keys = np.random.default_rng(seed).integers(0, 2**31, size=network.num_nodes)
-    keys = np.asarray(keys)
-    dag = emit_schedule(factor, r, backend)
-    ledger: CostLedger
-    if backend == "machine":
-        machine, ledger = MachineSorter.for_factor(factor, r).sort(keys)
-        output = machine.keys.copy()
-    else:
-        outcome = ProductNetworkSorter.for_factor(factor, r).sort_sequence(keys)
-        output = np.ravel(outcome.lattice).copy()
-        ledger = outcome.ledger
-    matches = bool(np.array_equal(replay(dag, keys), output))
-    return ExtractionResult(dag, output, ledger, keys, replay_matches=matches)
-
-
 def adversarial_key_sets(num_nodes: int, seed: int = 0) -> dict[str, np.ndarray]:
-    """The key assignments obliviousness is certified against.
+    """Key assignments that stress a comparator schedule.
 
-    Chosen to maximise behavioural divergence in a *non*-oblivious sorter:
-    already sorted (no comparator should move anything), reverse sorted
+    Already sorted (no comparator should move anything), reverse sorted
     (every comparator under pressure), all-equal (tie handling), alternating
     0/1 (zero-one-principle shape), and uniform random keys.
     """
@@ -110,59 +44,3 @@ def adversarial_key_sets(num_nodes: int, seed: int = 0) -> dict[str, np.ndarray]
         "alternating": (base % 2).copy(),
         "random": rng.integers(0, 2**31, size=num_nodes),
     }
-
-
-@dataclass(frozen=True)
-class ObliviousnessCertificate:
-    """Result of checking one configuration under adversarial keys."""
-
-    backend: str
-    factor: str
-    n: int
-    r: int
-    #: canonical DAG hash per key-set name
-    hashes: dict[str, str] = field(compare=False)
-    #: the emitted DAG (shared by every run when ``ok``)
-    dag: ComparatorDAG = field(compare=False)
-    #: per key-set: did the backend's output match the DAG replay?
-    replay_matches: dict[str, bool] = field(compare=False, default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        if len(set(self.hashes.values())) != 1:
-            return False
-        return all(self.replay_matches.values())
-
-    def describe(self) -> str:
-        verdict = "identical" if self.ok else "DIVERGENT"
-        return (
-            f"{self.backend}/{self.factor} n={self.n} r={self.r}: "
-            f"{len(self.hashes)} adversarial runs, schedules {verdict}"
-        )
-
-
-def certify_oblivious(
-    factor: FactorGraph,
-    r: int,
-    backend: str = "machine",
-    seed: int = 0,
-    key_sets: dict[str, np.ndarray] | None = None,
-) -> ObliviousnessCertificate:
-    """Run the backend under every adversarial key set against one schedule."""
-    network = ProductGraph(factor, r)
-    if key_sets is None:
-        key_sets = adversarial_key_sets(network.num_nodes, seed)
-    hashes: dict[str, str] = {}
-    matches: dict[str, bool] = {}
-    first: ComparatorDAG | None = None
-    for name, keys in key_sets.items():
-        result = extract_schedule(factor, r, backend, keys=keys)
-        hashes[name] = result.dag.schedule_hash()
-        matches[name] = result.replay_matches
-        if first is None:
-            first = result.dag
-    assert first is not None, "need at least one key set"
-    return ObliviousnessCertificate(
-        backend=backend, factor=factor.name, n=factor.n, r=r,
-        hashes=hashes, dag=first, replay_matches=matches,
-    )

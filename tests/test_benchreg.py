@@ -119,8 +119,8 @@ class TestWorkloadMatrix:
         assert machine
         for cell in machine:
             topo = cell["topology"]
-            # the observatory's edge accounting must agree with the
-            # recorder's ground-truth traversal counter exactly
+            # the observatory's edge histogram must agree with the
+            # machine's published traversal count exactly
             assert topo["total_traversals"] == cell["traffic"]["link_traversals"]
             assert topo["directed_edges"] >= topo["used_edges"] > 0
             assert topo["peak_buffer_depth"] == cell["traffic"]["peak_buffer_depth"]
@@ -304,6 +304,19 @@ class TestComparison:
         assert any(
             d.metric == "topology.total_traversals" for d in result.regressions
         )
+
+    def test_traffic_counts_are_zero_tolerance(self, matrix_doc):
+        assert DEFAULT_THRESHOLDS["traffic.link_traversals"] == 0.0
+        assert DEFAULT_THRESHOLDS["traffic.pair_count"] == 0.0
+        assert DEFAULT_THRESHOLDS["traffic.mean_parallelism"] is None
+        assert DEFAULT_THRESHOLDS["traffic.peak_node_utilisation"] is None
+        inflated = copy.deepcopy(matrix_doc)
+        victim = next(c for c in inflated["cells"] if c["backend"] == "machine")
+        victim["traffic"]["pair_count"] += 1
+        victim["traffic"]["mean_parallelism"] += 1.0
+        result = compare_documents(matrix_doc, inflated)
+        assert not result.ok
+        assert [d.metric for d in result.regressions] == ["traffic.pair_count"]
 
 
 class TestBenchCli:

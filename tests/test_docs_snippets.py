@@ -52,14 +52,18 @@ def test_cost_model_snippet():
 
 def test_fine_grained_snippet():
     from repro import MachineSorter, path_graph
-    from repro.machine.stats import TrafficRecorder
+    from repro.observability import LinkObservatory, Tracer
 
     ms = MachineSorter.for_factor(path_graph(3), 3)
     keys = np.random.default_rng(3).integers(0, 100, size=27)
     machine, ledger = ms.sort(keys)
     assert machine.rounds == ledger.total_rounds
     assert machine.lattice().shape == (3, 3, 3)
-    assert isinstance(TrafficRecorder(ms.network).stats().operations, int)
+
+    tracer = Tracer()
+    observatory = LinkObservatory(ms.network, bus=tracer.bus)
+    ms.sort(keys, tracer=tracer)
+    assert observatory.traffic()["operations"] == machine.operations
 
 
 def test_sequence_and_network_snippet():

@@ -84,6 +84,44 @@ class TestCorrectness:
         assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
 
 
+class TestNaNKeys:
+    """One NaN among float keys would come back as two (min/max propagate
+    NaN), so every lattice entry point rejects it before doing any work."""
+
+    @staticmethod
+    def _nan_keys(rng):
+        keys = rng.random(27)
+        keys[13] = np.nan
+        return keys
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_sort_sequence_rejects_nan(self, traced, rng):
+        sorter = ProductNetworkSorter.for_factor(path_graph(3), 3)
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.sort_sequence(self._nan_keys(rng), tracer=Tracer() if traced else None)
+
+    def test_merge_only_rejects_nan(self, rng):
+        sorter = ProductNetworkSorter.for_factor(path_graph(3), 3)
+        lattice = np.sort(self._nan_keys(rng).reshape(3, 9), axis=1)
+        lattice = np.stack([sequence_to_lattice(row, 3, 2) for row in lattice])
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.merge_sorted_subgraphs(lattice)
+
+    def test_adaptive_rejects_nan(self, rng):
+        sorter = AdaptiveProductNetworkSorter.for_factor(path_graph(3), 3)
+        with pytest.raises(ValueError, match="NaN"):
+            sorter.sort_sequence(self._nan_keys(rng))
+
+    def test_infinities_are_accepted(self, rng):
+        sorter = ProductNetworkSorter.for_factor(path_graph(3), 3)
+        keys = rng.random(27)
+        keys[[1, 7]] = np.inf
+        keys[3] = -np.inf
+        for tracer in (None, Tracer()):
+            lattice, _ = sorter.sort_sequence(keys, tracer=tracer)
+            assert np.array_equal(lattice_to_sequence(lattice), np.sort(keys))
+
+
 class TestMemoryLayout:
     """Lattices that are not C-contiguous (Fortran order, permuted axes,
     reversed strides) sort and merge like their C-ordered copies on every

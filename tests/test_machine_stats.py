@@ -1,4 +1,5 @@
-"""Tests for the machine traffic recorder."""
+"""Tests for the machine's traffic counters, read off its ``machine_step``
+events by the :class:`~repro.observability.topology.LinkObservatory`."""
 
 from __future__ import annotations
 
@@ -7,122 +8,111 @@ import numpy as np
 from repro.core.machine_sort import MachineSorter
 from repro.graphs import ProductGraph, complete_binary_tree, path_graph
 from repro.machine.machine import NetworkMachine
-from repro.machine.stats import TrafficRecorder
-from repro.observability import NULL_TRACER
+from repro.observability import EventBus, LinkObservatory, Tracer
 
 
-def _run_sort_with_recorder(factor, r, rng):
+def _observed_machine(net, keys):
+    bus = EventBus()
+    return NetworkMachine(net, keys, bus=bus), LinkObservatory(net, bus=bus)
+
+
+def _run_sort_observed(factor, r, rng):
     ms = MachineSorter.for_factor(factor, r)
     keys = rng.integers(0, 2**20, size=ms.network.num_nodes)
-    machine = NetworkMachine(ms.network, keys)
-    recorder = TrafficRecorder(ms.network)
-    machine.recorder = recorder
-    # drive the sorter's phases manually through the shared machine
-    root = ms.network.subgraph((), ())
-    blocks = ms._pg2_blocks(root)
-    ms.sorter.sort_batch(machine, blocks, [False] * len(blocks))
-    for j in range(3, r + 1):
-        ms._merge_batch(machine, ms._level_views(j), NULL_TRACER)
-    return machine, recorder
+    tracer = Tracer()
+    obs = LinkObservatory(ms.network, bus=tracer.bus)
+    machine, _ = ms.sort(keys, tracer=tracer)
+    return machine, obs
 
 
 class TestRecorder:
     def test_counts_basic_step(self):
         net = ProductGraph(path_graph(3), 2)
-        machine = NetworkMachine(net, np.arange(9))
-        rec = TrafficRecorder(net)
-        machine.recorder = rec
+        machine, obs = _observed_machine(net, np.arange(9))
         machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (2, 0))])
-        stats = rec.stats()
-        assert stats.operations == 1 and stats.pair_count == 2
-        assert stats.dimension_ops == {1: 1, 2: 1}
-        assert stats.adjacent_pairs == 2 and stats.routed_pairs == 0
-        assert stats.mean_parallelism == 2.0
+        traffic = obs.traffic()
+        assert traffic["operations"] == 1 and traffic["pair_count"] == 2
+        assert traffic["dimension_ops"] == {"1": 1, "2": 1}
+        assert traffic["adjacent_pairs"] == 2 and traffic["routed_pairs"] == 0
+        assert traffic["mean_parallelism"] == 2.0
+        assert traffic["link_traversals"] == 4 == obs.total_traversals
 
     def test_routed_pairs_detected(self):
         net = ProductGraph(complete_binary_tree(2), 1)
-        machine = NetworkMachine(net, np.arange(7))
-        rec = TrafficRecorder(net)
-        machine.recorder = rec
+        machine, obs = _observed_machine(net, np.arange(7))
         machine.compare_exchange([((3,), (4,))])  # leaves: non-adjacent
-        assert rec.stats().routed_pairs == 1
+        traffic = obs.traffic()
+        assert traffic["routed_pairs"] == 1
+        assert traffic["routed_link_traversals"] == traffic["link_traversals"] > 2
 
     def test_reset(self):
         net = ProductGraph(path_graph(3), 2)
-        machine = NetworkMachine(net, np.arange(9))
-        rec = TrafficRecorder(net)
-        machine.recorder = rec
+        machine, obs = _observed_machine(net, np.arange(9))
         machine.compare_exchange([((0, 0), (0, 1))])
-        rec.reset()
-        assert rec.stats().operations == 0
+        obs.reset()
+        assert obs.traffic()["operations"] == 0
 
     def test_empty_stats(self):
-        rec = TrafficRecorder(ProductGraph(path_graph(3), 2))
-        stats = rec.stats()
-        assert stats.operations == 0 and stats.mean_parallelism == 0.0
-        assert stats.pair_count == 0 and stats.peak_node_utilisation == 0.0
-        assert stats.dimension_ops == {} and stats.dimension_lanes == {}
-        assert stats.adjacent_pairs == 0 and stats.routed_pairs == 0
+        traffic = LinkObservatory(ProductGraph(path_graph(3), 2)).traffic()
+        assert traffic["operations"] == 0 and traffic["mean_parallelism"] == 0.0
+        assert traffic["pair_count"] == 0 and traffic["peak_node_utilisation"] == 0.0
+        assert traffic["dimension_ops"] == {} and traffic["dimension_lanes"] == {}
+        assert traffic["adjacent_pairs"] == 0 and traffic["routed_pairs"] == 0
+        assert traffic["link_traversals"] == 0
 
     def test_reset_then_reuse_matches_fresh(self):
         net = ProductGraph(path_graph(3), 2)
-        machine = NetworkMachine(net, np.arange(9))
-        rec = TrafficRecorder(net)
-        machine.recorder = rec
+        machine, obs = _observed_machine(net, np.arange(9))
         pairs = [((0, 0), (0, 1)), ((1, 0), (2, 0))]
         machine.compare_exchange(pairs)
-        rec.reset()
-        assert rec.stats().operations == 0
+        obs.reset()
+        assert obs.traffic()["operations"] == 0
         machine.compare_exchange([(hi, lo) for lo, hi in pairs])  # swap back
-        reused = rec.stats()
-        fresh_machine = NetworkMachine(net, np.arange(9))
-        fresh = TrafficRecorder(net)
-        fresh_machine.recorder = fresh
+        fresh_machine, fresh = _observed_machine(net, np.arange(9))
         fresh_machine.compare_exchange(pairs)
-        assert reused == fresh.stats()
+        assert obs.traffic() == fresh.traffic()
 
     def test_routed_vs_adjacent_counting_in_one_step(self):
         # a single super-step mixing an adjacent pair with a routed pair must
         # split the tally, and the routed subgraph must lift the step's cost
         net = ProductGraph(complete_binary_tree(2), 2)
-        machine = NetworkMachine(net, np.arange(49))
-        rec = TrafficRecorder(net)
-        machine.recorder = rec
+        machine, obs = _observed_machine(net, np.arange(49))
         # labels 0-1 are a tree edge; 3-4 are two leaves (non-adjacent)
         cost = machine.compare_exchange([((0, 0), (0, 1)), ((1, 3), (1, 4))])
-        stats = rec.stats()
-        assert stats.adjacent_pairs == 1 and stats.routed_pairs == 1
-        assert stats.pair_count == 2 and stats.operations == 1
+        traffic = obs.traffic()
+        assert traffic["adjacent_pairs"] == 1 and traffic["routed_pairs"] == 1
+        assert traffic["pair_count"] == 2 and traffic["operations"] == 1
         assert cost > 1  # routing made the super-step cost more than one round
 
 
 class TestSortTraffic:
     def test_full_sort_traffic_profile(self, rng):
-        machine, rec = _run_sort_with_recorder(path_graph(3), 3, rng)
+        machine, obs = _run_sort_observed(path_graph(3), 3, rng)
         from repro.orders import lattice_to_sequence
 
         seq = lattice_to_sequence(machine.lattice())
         assert np.all(np.diff(seq) >= 0)
-        stats = rec.stats()
+        traffic = obs.traffic()
+        assert traffic["operations"] == machine.operations
+        assert traffic["pair_count"] == machine.comparisons
         # every dimension participates; dims {1,2} dominate (base sorts)
-        assert set(stats.dimension_ops) == {1, 2, 3}
-        assert stats.dimension_ops[1] > stats.dimension_ops[3]
-        assert stats.dimension_ops[2] > stats.dimension_ops[3]
+        ops = traffic["dimension_ops"]
+        assert set(ops) == {"1", "2", "3"}
+        assert ops["1"] > ops["3"] and ops["2"] > ops["3"]
         # all traffic on a path factor is adjacent
-        assert stats.routed_pairs == 0
-        assert 0 < stats.peak_node_utilisation <= 1.0
+        assert traffic["routed_pairs"] == 0
+        assert 0 < traffic["peak_node_utilisation"] <= 1.0
 
     def test_dimension_lanes_bounded(self, rng):
-        machine, rec = _run_sort_with_recorder(path_graph(3), 3, rng)
-        stats = rec.stats()
+        _, obs = _run_sort_observed(path_graph(3), 3, rng)
         # each dimension has N^(r-1) = 9 factor subgraphs at most
-        for d, lanes in stats.dimension_lanes.items():
+        for lanes in obs.traffic()["dimension_lanes"].values():
             assert 1 <= lanes <= 9
 
     def test_tree_factor_routes(self, rng):
-        machine, rec = _run_sort_with_recorder(complete_binary_tree(1), 2, rng)
-        stats = rec.stats()
-        assert stats.pair_count > 0
+        _, obs = _run_sort_observed(complete_binary_tree(1), 2, rng)
+        traffic = obs.traffic()
+        assert traffic["pair_count"] > 0
         # 3-node tree labelled 0-1-2 with edges 0-1, 0-2: consecutive labels
         # (1,2) are non-adjacent, so some pairs must route
-        assert stats.routed_pairs > 0
+        assert traffic["routed_pairs"] > 0

@@ -149,9 +149,7 @@ class TestMetricsSubscriber:
         tracer.bus.subscribe(MetricsSubscriber(registry))
         sorter = MachineSorter.for_factor(k2(), r)
         timeline = MachineTimeline(sorter.network, bus=tracer.bus)
-        machine, ledger = sorter.sort(
-            rng.integers(0, 100, size=2**r), tracer=tracer, timeline=timeline
-        )
+        machine, ledger = sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer)
         return tracer, timeline, registry, machine, ledger
 
     def test_span_counters_agree_with_span_tree(self, rng):

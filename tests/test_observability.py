@@ -20,7 +20,6 @@ from repro.core.sorting import multiway_merge_sort
 from repro.graphs import ProductGraph, k2, path_graph
 from repro.machine.machine import NetworkMachine
 from repro.machine.metrics import CostLedger
-from repro.machine.stats import TrafficRecorder
 from repro.observability import (
     NULL_TRACER,
     CallbackSubscriber,
@@ -28,7 +27,6 @@ from repro.observability import (
     LedgerSubscriber,
     MachineTimeline,
     Tracer,
-    TrafficSubscriber,
     chrome_trace_json,
     coerce_tracer,
     phase_summary,
@@ -259,9 +257,11 @@ class TestPointEventStates:
 class TestMachineTimeline:
     def test_records_every_super_step(self, rng):
         sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network)
-        machine, ledger = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
+        bus = EventBus()
+        timeline = MachineTimeline(sorter.network, bus=bus)
+        machine, ledger = sorter.sort(rng.integers(0, 100, size=8), tracer=bus)
         assert len(timeline.steps) == machine.operations
+        assert [s.index for s in timeline.steps] == list(range(machine.operations))
         assert sum(s.rounds for s in timeline.steps) == ledger.total_rounds
         assert all(1 <= s.dimension <= 3 for s in timeline.steps if s.dimension is not None)
         assert all(0 < s.utilisation <= 1.0 for s in timeline.steps)
@@ -271,35 +271,36 @@ class TestMachineTimeline:
 
     def test_reset_allows_reuse(self, rng):
         sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network)
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
+        bus = EventBus()
+        timeline = MachineTimeline(sorter.network, bus=bus)
+        sorter.sort(rng.integers(0, 100, size=8), tracer=bus)
         first = len(timeline.steps)
         timeline.reset()
         assert timeline.steps == []
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
+        sorter.sort(rng.integers(0, 100, size=8), tracer=bus)
         assert len(timeline.steps) == first  # oblivious schedule
+        assert timeline.steps[0].index == 0
 
-    def test_bus_republication_feeds_traffic_recorder(self, rng):
-        # TrafficRecorder as a bus subscriber == TrafficRecorder on machine
+    def test_machine_publishes_each_step_once(self, rng):
         net = ProductGraph(path_graph(3), 2)
         bus = EventBus()
-        via_bus = TrafficRecorder(net)
-        bus.subscribe(TrafficSubscriber(via_bus))
-        timeline = MachineTimeline(net, bus=bus)
-        machine = NetworkMachine(net, np.arange(9)[::-1].copy())
-        direct = TrafficRecorder(net)
-        machine.recorder = direct
-        machine.timeline = timeline
+        seen = []
+        bus.subscribe(seen.append)
+        machine = NetworkMachine(net, np.arange(9)[::-1].copy(), bus=bus)
         machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (2, 0))])
         machine.compare_exchange([((0, 1), (0, 2))])
-        assert via_bus.stats() == direct.stats()
-        assert len(timeline.steps) == 2
+        assert [e.kind for e in seen] == ["machine_step", "machine_step"]
+        first = seen[0].attrs
+        assert first["step"] == 0 and first["rounds"] == 1
+        assert first["flat_pairs"] == ((0, 1), (3, 6))
+        assert first["dimensions"] == (1, 2) and first["pair_adjacent"] == (True, True)
+        assert first["link_traversals"] == 4 and first["routes"] is None
 
     def test_mixed_dimension_step_has_no_single_dimension(self):
         net = ProductGraph(path_graph(3), 2)
-        machine = NetworkMachine(net, np.arange(9))
-        timeline = MachineTimeline(net)
-        machine.timeline = timeline
+        bus = EventBus()
+        machine = NetworkMachine(net, np.arange(9), bus=bus)
+        timeline = MachineTimeline(net, bus=bus)
         machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (2, 0))])  # dims 1 and 2
         machine.compare_exchange([((0, 1), (0, 2))])  # dim 1 only
         assert timeline.steps[0].dimension is None
@@ -310,8 +311,8 @@ class TestExporters:
     def _traced_machine_run(self, rng, r=3):
         tracer = Tracer()
         sorter = MachineSorter.for_factor(k2(), r)
-        timeline = MachineTimeline(sorter.network)
-        sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer, timeline=timeline)
+        timeline = MachineTimeline(sorter.network, bus=tracer.bus)
+        sorter.sort(rng.integers(0, 100, size=2**r), tracer=tracer)
         return tracer, timeline
 
     def test_jsonl_round_trip(self, rng):
@@ -413,81 +414,6 @@ class TestEventBus:
         bus.publish(point_event("x", payload=1))
         assert len(a) == len(b) == 1
         assert a[0] is b[0]
-
-
-class TestTimelineRingBuffer:
-    """Opt-in ``max_steps`` bound: retain the tail, count the evictions."""
-
-    def _run(self, rng, max_steps=None):
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, max_steps=max_steps)
-        machine, _ = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        return timeline, machine
-
-    def test_unbounded_by_default(self, rng):
-        timeline, machine = self._run(rng)
-        assert timeline.max_steps is None
-        assert timeline.dropped_steps == 0
-        assert len(timeline.steps) == machine.operations
-
-    def test_ring_retains_most_recent_steps(self, rng):
-        full, machine = self._run(rng)
-        bounded, _ = self._run(rng, max_steps=5)
-        assert len(bounded.steps) == 5
-        assert bounded.dropped_steps == machine.operations - 5
-        # indices stay absolute: the retained tail is the last five steps
-        assert [s.index for s in bounded.steps] == [
-            s.index for s in full.steps[-5:]
-        ]
-        assert bounded.steps[0].index == machine.operations - 5
-
-    def test_dropped_steps_surface_in_summary(self, rng):
-        timeline, machine = self._run(rng, max_steps=3)
-        summary = timeline.summary()
-        assert summary["steps"] == 3
-        assert summary["dropped_steps"] == machine.operations - 3
-        # aggregates cover only the retained window
-        assert summary["pairs"] == sum(s.pairs for s in timeline.steps)
-
-    def test_phase_summary_footer_reports_drops(self, rng):
-        tracer = Tracer()
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, max_steps=4)
-        sorter.sort(rng.integers(0, 100, size=8), tracer=tracer, timeline=timeline)
-        text = phase_summary(tracer, timeline=timeline)
-        assert f"({timeline.dropped_steps} dropped)" in text
-
-    def test_dropped_steps_still_reach_the_bus(self, rng):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        sorter = MachineSorter.for_factor(k2(), 3)
-        timeline = MachineTimeline(sorter.network, bus=bus, max_steps=2)
-        machine, _ = sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert len([e for e in seen if e.kind == "machine_step"]) == machine.operations
-
-    def test_reset_clears_drop_accounting(self, rng):
-        timeline, machine = self._run(rng, max_steps=3)
-        assert timeline.dropped_steps > 0
-        timeline.reset()
-        assert timeline.dropped_steps == 0
-        assert list(timeline.steps) == []
-        sorter = MachineSorter.for_factor(k2(), 3)
-        sorter.sort(rng.integers(0, 100, size=8), timeline=timeline)
-        assert timeline.steps[0].index == machine.operations - 3  # restarted at 0
-
-    def test_exact_capacity_drops_nothing(self, rng):
-        _, machine = self._run(rng)
-        timeline, _ = self._run(rng, max_steps=machine.operations)
-        assert timeline.dropped_steps == 0
-        assert timeline.steps[0].index == 0
-
-    def test_invalid_max_steps_rejected(self):
-        net = ProductGraph(k2(), 3)
-        with pytest.raises(ValueError, match="max_steps"):
-            MachineTimeline(net, max_steps=0)
-        with pytest.raises(ValueError, match="max_steps"):
-            MachineTimeline(net, max_steps=-1)
 
 
 class TestExportEdgeCases:

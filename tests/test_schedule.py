@@ -178,6 +178,18 @@ class TestCompiledBatch:
         with pytest.raises(ValueError, match="keys per row"):
             compile_schedule(dag).run(np.zeros(dag.num_nodes + 1))
 
+    @pytest.mark.parametrize("kernel", [compile_schedule, round_plan], ids=["packed", "round_plan"])
+    def test_rejects_nan_keys(self, kernel, rng):
+        # min/max comparators would return one NaN as two
+        dag = _emit(next(c for c in DEFAULT_MATRIX if c.key == "path-n3-r3-lattice"))
+        keys = rng.random(dag.num_nodes)
+        keys[5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            kernel(dag).run(keys)
+        batch = np.stack([rng.random(dag.num_nodes), keys])
+        with pytest.raises(ValueError, match="NaN"):
+            kernel(dag).run(batch)
+
 
 class TestEmission:
     def test_emission_is_keyless_and_cached(self):

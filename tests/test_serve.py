@@ -141,6 +141,47 @@ class TestSortService:
 
         _run(scenario())
 
+    def test_mixed_dtype_batch_keeps_each_request_exact(self, rng):
+        """An int64 request beyond float64's exact range shares a micro-batch
+        with a float64 request: neither is promoted by its neighbour."""
+        config = ServiceConfig(max_batch=3, max_delay_ms=10_000.0)
+        big = 2**62 + np.arange(WIDTH, dtype=np.int64)[::-1].copy()
+        floats = rng.random(WIDTH)
+        small = rng.integers(0, 1000, WIDTH).astype(np.int64)
+
+        async def scenario():
+            async with SortService(config) as service:
+                outs = await asyncio.wait_for(
+                    asyncio.gather(*(service.submit(CELL, k) for k in (big, floats, small))),
+                    timeout=5.0,
+                )
+                return outs, service.queues_snapshot()
+
+        outs, snapshot = _run(scenario())
+        assert next(iter(snapshot.values()))["batches"] == 1  # one shared micro-batch
+        for keys, out in zip((big, floats, small), outs):
+            assert out.dtype == keys.dtype
+            assert np.array_equal(out, _expected(keys))
+
+    def test_nan_request_rejected_before_it_can_fail_its_batch(self, rng):
+        config = ServiceConfig(max_batch=2, max_delay_ms=50.0)
+        bad = rng.random(WIDTH)
+        bad[4] = np.nan
+        good = rng.random(WIDTH)
+        good[0] = np.inf
+
+        async def scenario():
+            async with SortService(config) as service:
+                with pytest.raises(ValueError, match="NaN"):
+                    await service.submit(CELL, bad)
+                out = await asyncio.wait_for(service.submit(CELL, good), timeout=5.0)
+                return out, service.queues_snapshot()
+
+        out, snapshot = _run(scenario())
+        assert np.array_equal(out, _expected(good))  # ±inf stays accepted
+        (queue,) = snapshot.values()
+        assert queue["completed"] == 1 and queue["batches"] == 1
+
     def test_unknown_cell_raises_value_error(self):
         async def scenario():
             async with SortService() as service:

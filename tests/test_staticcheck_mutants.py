@@ -18,7 +18,7 @@ from repro.staticcheck import (
     MUTANT_CELLS,
     MUTANTS,
     apply_mutant,
-    extract_schedule,
+    emit_schedule,
     render_mutants,
     run_mutant_harness,
     run_mutants,
@@ -52,7 +52,7 @@ def test_each_mutant_caught_by_its_lint(backend, mutant):
 
 
 def test_mutants_change_the_schedule_hash():
-    base = extract_schedule(path_graph(3), 3, backend="lattice").dag
+    base = emit_schedule(path_graph(3), 3, backend="lattice")
     hashes = {base.schedule_hash()}
     for mutant in MUTANTS:
         mutated = mutant.apply(base)
@@ -63,7 +63,7 @@ def test_mutants_change_the_schedule_hash():
 
 
 def test_apply_mutant_by_name_and_unknown():
-    base = extract_schedule(path_graph(3), 3, backend="machine").dag
+    base = emit_schedule(path_graph(3), 3, backend="machine")
     mutated = apply_mutant(base, "double_book")
     assert mutated.comparator_count == base.comparator_count + 1
     with pytest.raises(ValueError, match="unknown mutant"):
@@ -72,14 +72,14 @@ def test_apply_mutant_by_name_and_unknown():
 
 def test_structural_mutants_require_a_merge():
     # r = 2 schedules have no clean-up or transposition to fault
-    flat = extract_schedule(k2(), 2, backend="machine").dag
+    flat = emit_schedule(k2(), 2, backend="machine")
     for name in ("drop_cleanup_sort", "skip_transposition", "swap_direction"):
         with pytest.raises(ValueError, match="r < 3"):
             apply_mutant(flat, name)
 
 
 def test_drop_cleanup_sort_removes_final_block_sorts():
-    base = extract_schedule(path_graph(3), 3, backend="lattice").dag
+    base = emit_schedule(path_graph(3), 3, backend="lattice")
     mutated = apply_mutant(base, "drop_cleanup_sort")
     assert len(mutated.phases) == len(base.phases) - 1
     assert all(p.leaf != "final-block-sorts" for p in mutated.phases)
@@ -89,7 +89,7 @@ def test_drop_cleanup_sort_removes_final_block_sorts():
 
 
 def test_swap_direction_flips_exactly_one_comparator():
-    base = extract_schedule(path_graph(3), 3, backend="lattice").dag
+    base = emit_schedule(path_graph(3), 3, backend="lattice")
     mutated = apply_mutant(base, "swap_direction")
     base_ops = [op for rd in base.rounds for op in rd.comparators]
     mut_ops = [op for rd in mutated.rounds for op in rd.comparators]

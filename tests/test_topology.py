@@ -12,15 +12,14 @@ import pytest
 
 from repro.cli import main
 from repro.core.machine_sort import MachineSorter
-from repro.graphs import complete_binary_tree, k2, path_graph, petersen_graph
-from repro.machine.stats import TrafficRecorder
+from repro.graphs import ProductGraph, complete_binary_tree, k2, path_graph, petersen_graph
+from repro.machine.machine import NetworkMachine
 from repro.observability import (
+    EventBus,
     LinkObservatory,
-    MachineTimeline,
     MetricsRegistry,
     MetricsSubscriber,
     Tracer,
-    TrafficSubscriber,
     phase_key,
 )
 from repro.observability.heatmap import (
@@ -35,19 +34,14 @@ from repro.observability.topology import UNATTRIBUTED, gini
 from repro.viz import heat_shade, render_heatmap
 
 
-def observed_sort(factor, r, seed=0, with_recorder=False):
-    """Run one machine sort under full telemetry; return the consumers."""
+def observed_sort(factor, r, seed=0):
+    """Run one machine sort under full telemetry; return the observatory."""
     tracer = Tracer()
     sorter = MachineSorter.for_factor(factor, r)
     obs = LinkObservatory(sorter.network, bus=tracer.bus)
-    recorder = None
-    if with_recorder:
-        recorder = TrafficRecorder(sorter.network)
-        tracer.bus.subscribe(TrafficSubscriber(recorder))
-    timeline = MachineTimeline(sorter.network, bus=tracer.bus)
     keys = np.random.default_rng(seed).integers(0, 2**31, size=sorter.network.num_nodes)
-    sorter.sort(keys, tracer=tracer, timeline=timeline)
-    return obs, recorder, sorter.network
+    sorter.sort(keys, tracer=tracer)
+    return obs, sorter.network
 
 
 class TestPhaseKey:
@@ -61,7 +55,7 @@ class TestPhaseKey:
         # the satellite requirement: both consumers key phases identically
         from repro.observability import phase_summary
 
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         tracer = Tracer()
         sorter = MachineSorter.for_factor(k2(), 3)
         keys = np.random.default_rng(0).integers(0, 2**31, size=8)
@@ -73,55 +67,55 @@ class TestPhaseKey:
 
 class TestEdgeAccounting:
     def test_hypercube_totals_match_recorder_exactly(self):
-        # acceptance criterion: the 3-D hypercube cell, exact equality
-        obs, recorder, _ = observed_sort(k2(), 3, with_recorder=True)
-        stats = recorder.stats()
-        assert obs.total_traversals == stats.link_traversals
+        # the edge histogram's total equals the machine's published
+        # traversal count on the 3-D hypercube cell, exactly
+        obs, _ = observed_sort(k2(), 3)
+        traffic = obs.traffic()
+        assert obs.total_traversals == traffic["link_traversals"]
         assert obs.total_traversals > 0
         # adjacent-only network: every pair is two directed traversals
-        assert stats.routed_pairs == 0
-        assert obs.total_traversals == 2 * stats.adjacent_pairs
+        assert traffic["routed_pairs"] == 0
+        assert obs.total_traversals == 2 * traffic["adjacent_pairs"]
 
     def test_routed_network_totals_match_recorder_exactly(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, recorder, _ = observed_sort(factor, 3, with_recorder=True)
-        stats = recorder.stats()
-        assert stats.routed_pairs > 0
-        assert stats.routed_link_traversals > 0
-        assert obs.total_traversals == stats.link_traversals
+        obs, _ = observed_sort(factor, 3)
+        traffic = obs.traffic()
+        assert traffic["routed_pairs"] > 0
+        assert traffic["routed_link_traversals"] > 0
+        # routed steps charge the wires of their actual paths
+        assert obs.total_traversals == traffic["link_traversals"]
 
     def test_per_phase_histograms_sum_to_global(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, _, _ = observed_sort(factor, 3)
+        obs, _ = observed_sort(factor, 3)
         summed = Counter()
         for loads in obs.phase_edge_loads().values():
             summed.update(loads)
         assert dict(summed) == obs.edge_loads()
 
     def test_every_edge_is_a_network_wire(self):
-        obs, _, network = observed_sort(k2(), 3)
+        obs, network = observed_sort(k2(), 3)
         for u, v in obs.edge_loads():
             assert network.is_edge(network.label_of(u), network.label_of(v))
 
     def test_dimension_split_sums_to_total(self):
-        obs, _, _ = observed_sort(path_graph(3), 3)
+        obs, _ = observed_sort(path_graph(3), 3)
         per_dim = obs.dimension_indices()
         assert set(per_dim) == {1, 2, 3}
         assert sum(ix.total_traversals for ix in per_dim.values()) == obs.total_traversals
 
     def test_untraced_steps_fall_into_unattributed_bucket(self):
-        sorter = MachineSorter.for_factor(k2(), 2)
-        from repro.observability import EventBus
-
+        network = ProductGraph(k2(), 2)
         bus = EventBus()
-        obs = LinkObservatory(sorter.network, bus=bus)
-        keys = np.random.default_rng(0).integers(0, 2**31, size=4)
+        obs = LinkObservatory(network, bus=bus)
+        machine = NetworkMachine(network, np.arange(4), bus=bus)
         # no tracer on the bus: steps arrive with no enclosing span
-        sorter.sort(keys, timeline=MachineTimeline(sorter.network, bus=bus))
+        machine.compare_exchange([((0, 0), (0, 1)), ((1, 0), (1, 1))])
         assert list(obs.phase_edge_loads()) == [UNATTRIBUTED]
 
     def test_reset_forgets_everything(self):
-        obs, _, _ = observed_sort(k2(), 2)
+        obs, _ = observed_sort(k2(), 2)
         assert obs.total_traversals > 0
         obs.reset()
         assert obs.total_traversals == 0
@@ -138,25 +132,25 @@ class TestBufferDepth:
             (complete_binary_tree(2).canonically_labelled(), 3),
             (petersen_graph().canonically_labelled(), 2),
         ]:
-            obs, recorder, _ = observed_sort(factor, r, with_recorder=True)
+            obs, _ = observed_sort(factor, r)
             assert obs.peak_buffer_depth <= 3
-            assert recorder.stats().peak_buffer_depth == obs.peak_buffer_depth
+            assert obs.traffic()["peak_buffer_depth"] == obs.peak_buffer_depth
 
     def test_adjacent_only_network_never_buffers(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         assert obs.peak_buffer_depth == 0
         assert obs.round_occupancy() == ()
 
     def test_phase_indices_carry_buffer_depth(self):
         factor = complete_binary_tree(2).canonically_labelled()
-        obs, _, _ = observed_sort(factor, 3)
+        obs, _ = observed_sort(factor, 3)
         depths = [ix.peak_buffer_depth for ix in obs.phase_indices().values()]
         assert max(depths) == obs.peak_buffer_depth > 0
 
 
 class TestNodeUtilisation:
     def test_busy_counts_bounded_by_steps(self):
-        obs, _, network = observed_sort(path_graph(3), 3)
+        obs, network = observed_sort(path_graph(3), 3)
         busy = obs.node_busy_steps()
         assert all(0 < b <= obs.steps for b in busy.values())
         util = obs.node_utilisation()
@@ -179,7 +173,7 @@ class TestGini:
 
 class TestCongestionIndices:
     def test_structural_wire_counts(self):
-        obs, _, network = observed_sort(path_graph(3), 3)
+        obs, network = observed_sort(path_graph(3), 3)
         idx = obs.congestion()
         assert idx.directed_edges == 2 * network.num_edges
         per_dim = obs.dimension_indices()
@@ -189,14 +183,14 @@ class TestCongestionIndices:
             )
 
     def test_mean_and_max_consistency(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         idx = obs.congestion()
         assert idx.max_load >= idx.mean_load > 0
         assert idx.total_traversals == pytest.approx(idx.mean_load * idx.directed_edges)
         assert 0.0 <= idx.gini < 1.0
 
     def test_snapshot_is_json_safe(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         snap = json.loads(json.dumps(obs.snapshot()))
         assert snap["total_traversals"] == obs.total_traversals
         assert set(snap["per_dimension"]) == {"1", "2", "3"}
@@ -216,14 +210,14 @@ class TestRendering:
         assert heat_shade(5, 0) == " "
 
     def test_heatmap_has_total_row_and_scale(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         text = render_topology_heatmap(obs)
         assert "TOTAL" in text
         assert "scale:" in text
         assert "d3" in text
 
     def test_matrix_total_row_sums_columns(self):
-        obs, _, _ = observed_sort(path_graph(3), 3)
+        obs, _ = observed_sort(path_graph(3), 3)
         rows, cols, matrix = phase_dimension_matrix(obs)
         assert rows[-1] == "TOTAL"
         for c in range(len(cols)):
@@ -231,26 +225,26 @@ class TestRendering:
         assert sum(matrix[-1]) == obs.total_traversals
 
     def test_imbalance_table_lists_all_scopes(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         table = render_imbalance_table(obs)
         assert "network" in table
         assert "dim 1" in table and "dim 3" in table
         assert "gini" in table
 
     def test_topology_json_round_trips(self):
-        obs, _, _ = observed_sort(k2(), 2)
+        obs, _ = observed_sort(k2(), 2)
         doc = json.loads(topology_json(obs))
         assert doc["steps"] == obs.steps
 
     def test_svg_is_well_formed_xml(self):
-        obs, _, _ = observed_sort(k2(), 3)
+        obs, _ = observed_sort(k2(), 3)
         root = ET.fromstring(topology_svg(obs))
         assert root.tag.endswith("svg")
         texts = [e.text for e in root.iter() if e.tag.endswith("text")]
         assert any("TOTAL" in (t or "") for t in texts)
 
     def test_html_wraps_the_svg(self):
-        obs, _, _ = observed_sort(k2(), 2)
+        obs, _ = observed_sort(k2(), 2)
         html = topology_html(obs)
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "<?xml" not in html
@@ -264,9 +258,8 @@ class TestMetricsInstruments:
         obs = LinkObservatory(sorter.network, bus=tracer.bus)
         registry = MetricsRegistry()
         tracer.bus.subscribe(MetricsSubscriber(registry))
-        timeline = MachineTimeline(sorter.network, bus=tracer.bus)
         keys = np.random.default_rng(0).integers(0, 2**31, size=sorter.network.num_nodes)
-        sorter.sort(keys, tracer=tracer, timeline=timeline)
+        sorter.sort(keys, tracer=tracer)
         counter = registry.counter("repro_link_traversals_total")
         total = counter.value(kind="adjacent") + counter.value(kind="routed")
         assert total == obs.total_traversals
