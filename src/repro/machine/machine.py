@@ -33,6 +33,7 @@ import numpy as np
 
 from ..graphs.product import ProductGraph
 from ..observability.events import EventBus, TraceEvent, clock
+from ..schedule.compiled import reject_nan
 from .routing import StepRouting, route_partial_permutation
 
 __all__ = ["NetworkMachine"]
@@ -63,6 +64,7 @@ class NetworkMachine:
             raise ValueError(
                 f"need one key per node: expected shape ({network.num_nodes},), got {keys.shape}"
             )
+        reject_nan(keys)
         self.keys = keys.copy()
         self.bus = bus
         #: synchronous rounds elapsed (compare-exchange + routing)

@@ -23,6 +23,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             NetworkMachine(net, np.arange(8))
 
+    def test_rejects_nan_keys(self):
+        # `b < a` is false against NaN: the NaN would stay put and the
+        # other keys come back out of order
+        net = ProductGraph(path_graph(3), 3)
+        keys = np.random.default_rng(0).random(net.num_nodes)
+        keys[4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            NetworkMachine(net, keys)
+
     def test_lattice_view(self):
         m, net = _machine(path_graph(3), 2, np.arange(9))
         lat = m.lattice()
