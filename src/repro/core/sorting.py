@@ -19,6 +19,7 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from ..observability import coerce_tracer, point_emitter
+from ..schedule.compiled import NAN_KEYS_MESSAGE
 from .multiway_merge import (
     Exchange,
     Sort2,
@@ -76,8 +77,12 @@ def multiway_merge_sort(
         snapshots as ``point`` events (inner recursive merges stay silent,
         mirroring how the network accounts one recursion's cost).
 
-    Returns the fully sorted list.
+    Returns the fully sorted list.  A NaN key raises ``ValueError``: every
+    comparison against it is false, so the other keys would come back
+    unsorted.
     """
+    if any(key != key for key in keys):  # NaN is the one key unequal to itself
+        raise ValueError(NAN_KEYS_MESSAGE)
     r = required_order(len(keys), n)
     if r < 2:
         raise ValueError("the algorithm sorts N**r keys for r >= 2 (§3.3)")

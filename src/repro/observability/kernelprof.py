@@ -5,7 +5,8 @@ spine, 40–147× faster than the interpreted path, but the tracing stack only
 instruments the interpreted backends.  This module closes that gap:
 
 * :class:`KernelProfiler` re-executes a kernel layer by layer (via the
-  kernel's own ``apply_layer``), timing each layer with
+  kernel's own ``apply_layer``, on the same node-major work array
+  ``CompiledSchedule.run`` uses), timing each layer with
   ``time.perf_counter_ns`` and deriving per-layer op counts, **occupancy**
   (comparator-slot utilisation: key-endpoints-touched ÷ 2 ÷ ⌊N/2⌋ — exactly
   1.0 when a layer engages every disjoint pair the network offers, the
@@ -238,9 +239,12 @@ class KernelProfiler:
 
     def run(self, kernel: "CompiledSchedule", state: np.ndarray) -> tuple[np.ndarray, RunProfile]:
         """Execute ``kernel`` over ``state``, returning (output, profile)."""
-        arr, squeeze = kernel._prepare(state)
-        batch = arr.shape[0]
-        itemsize = int(arr.itemsize)
+        # the same node-major work array run() uses, so the layers timed
+        # here are the layers run() executes
+        work, squeeze = kernel._prepare(state)
+        view = work.T
+        batch = work.shape[1]
+        itemsize = int(work.itemsize)
         slots = max(kernel.num_nodes // 2, 1)
         tracer = self.tracer
         layers: list[LayerProfile] = []
@@ -278,7 +282,7 @@ class KernelProfiler:
                     # hands back the raw nanoseconds for the LayerProfile —
                     # no hand-rolled perf_counter_ns delta at this site
                     with self._layer_seconds.time(cell=kernel.cell) as timer:
-                        kernel.apply_layer(arr, layer)
+                        kernel.apply_layer(view, layer)
                     wall = timer.elapsed_ns
                 layers.append(
                     LayerProfile(
@@ -302,15 +306,15 @@ class KernelProfiler:
             layers=tuple(layers),
         )
         self._record(profile)
-        return (arr[0] if squeeze else arr), profile
+        return kernel._finish(work, squeeze), profile
 
     def profiled_run(self, kernel: "CompiledSchedule", state: np.ndarray) -> np.ndarray:
         """The hook ``CompiledSchedule.run`` dispatches to when installed."""
         if not self.enabled:  # pragma: no cover - run() short-circuits first
-            arr, squeeze = kernel._prepare(state)
+            work, squeeze = kernel._prepare(state)
             for layer in kernel.layers:
-                kernel.apply_layer(arr, layer)
-            return arr[0] if squeeze else arr
+                kernel.apply_layer(work.T, layer)
+            return kernel._finish(work, squeeze)
         out, _ = self.run(kernel, state)
         return out
 

@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.lattice_sort import ProductNetworkSorter
+from repro.graphs.library import k2
 from repro.observability.cachestats import CacheStats, all_cache_stats, publish_cache_metrics
 from repro.observability.httpexpo import (
     PROMETHEUS_CONTENT_TYPE,
@@ -39,6 +41,7 @@ from repro.observability.kernelprof import (
 )
 from repro.observability.metrics import Histogram, MetricsRegistry, quantile_from_buckets
 from repro.schedule import (
+    CompiledSchedule,
     cache_stats,
     clear_caches,
     compile_schedule,
@@ -66,6 +69,29 @@ class TestKernelProfiler:
         assert np.array_equal(out, kernel.run(keys))
         assert profile.batch == 32 and profile.num_nodes == dag.num_nodes
         assert profile.keys == 32 * dag.num_nodes
+
+    def test_profiler_times_the_layout_run_executes(self, rng, monkeypatch):
+        # k2-n2-r6 at batch 256 lowers some width-4 groups, so the lowered
+        # stages are profiled too; every layer, profiled or not, must see the
+        # .T view of run's C-contiguous node-major work array
+        dag = ProductNetworkSorter.for_factor(k2(), 6).schedule()
+        kernel = compile_schedule(dag)
+        keys = rng.integers(0, 2**31, size=(256, dag.num_nodes))
+        node_major = []
+        original = CompiledSchedule.apply_layer
+
+        def spy(arr, layer):
+            node_major.append(arr.T.flags.c_contiguous)
+            original(arr, layer)
+
+        monkeypatch.setattr(CompiledSchedule, "apply_layer", staticmethod(spy))
+        bare = kernel.run(keys)
+        with KernelProfiler() as hooked:
+            assert np.array_equal(kernel.run(keys), bare)
+        out, profile = KernelProfiler().run(kernel, keys)
+        assert np.array_equal(out, bare) and out.flags.c_contiguous
+        assert node_major == [True] * (3 * kernel.num_layers)
+        assert len(hooked.last_profile.layers) == len(profile.layers) == kernel.num_layers
 
     def test_per_layer_accounting(self, rng):
         kernel, dag = _kernel()

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multiway_merge import default_sort2
 from repro.core.sorting import multiway_merge_sort, required_order
+from repro.schedule import reject_nan
 
 
 class TestRequiredOrder:
@@ -74,6 +76,25 @@ class TestSortDriver:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=27, max_size=27))
     @settings(max_examples=25)
     def test_property_floats(self, keys):
+        assert multiway_merge_sort(keys, 3) == sorted(keys)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejects_nan(self, seed):
+        # every comparison against NaN is false, so the other keys came back
+        # unsorted; the oracle now refuses like the other entry points
+        keys = list(np.random.default_rng(seed).random(27))
+        keys[3] = float("nan")
+        with pytest.raises(ValueError) as raised:
+            multiway_merge_sort(keys, 3)
+        with pytest.raises(ValueError) as expected:
+            reject_nan(np.array(keys))
+        assert str(raised.value) == str(expected.value)
+        keys[3] = np.float32("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            multiway_merge_sort(keys, 3)
+
+    def test_accepts_infinities(self):
+        keys = [float("inf"), float("-inf")] + list(range(25))
         assert multiway_merge_sort(keys, 3) == sorted(keys)
 
     def test_all_equal_keys(self):
